@@ -63,7 +63,7 @@ func concBench(rows, sampleRows, queriesPerPoint, seed int) *concBenchResult {
 	// One internal worker per query: the sweep measures cross-query
 	// scaling through the admission layer, not intra-query parallelism.
 	eng := core.New(core.Config{Seed: uint64(seed), Workers: 1,
-		Obs: obs.NewTracer(obs.Options{})})
+		Obs: obs.NewTracer(obs.Config{})})
 	if err := eng.RegisterTable("Sessions", tbl); err != nil {
 		panic("aqpbench: " + err.Error())
 	}

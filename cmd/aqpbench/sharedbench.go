@@ -93,7 +93,7 @@ func sharedThroughput(res *sharedBenchResult, rows, sampleRows, queriesPerPoint,
 		{Name: "Time", Type: table.Float64},
 		{Name: "City", Type: table.String},
 	}, times, cities)
-	tracer := obs.NewTracer(obs.Options{})
+	tracer := obs.NewTracer(obs.Config{})
 	// A small resample budget keeps the scan the dominant cost — the sweep
 	// measures scan consolidation, not bootstrap throughput. Diagnostics
 	// off so no member's exact fallback rescans. The engine's workers

@@ -23,7 +23,7 @@ type skipEntry struct {
 }
 
 // selKey identifies a selectivity observation: storage identity plus the
-// literal-normalized predicate signature from internal/obs/history, so
+// literal-normalized predicate signature (sql.PredicateSignature), so
 // repeated query *shapes* (same structure, different literals) share one
 // estimate for planning hints.
 type selKey struct {

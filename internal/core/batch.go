@@ -96,6 +96,19 @@ func (e *Engine) RunSharedBatch(reqs []BatchRequest) []BatchResponse {
 		start time.Time
 	}
 	states := make([]*memberState, len(reqs))
+	// finish records member i's outcome and closes its lifecycle; a
+	// successful answer is offered to the answer cache first (replays are
+	// not re-stored).
+	finish := func(i int, ans *Answer, err error) {
+		if err != nil {
+			ans = nil
+		} else {
+			e.answerCachePut(gen, reqs[i].Query, reqs[i].Opts.BootstrapK, ans)
+		}
+		out[i] = BatchResponse{Ans: ans, Err: err}
+		ms := states[i]
+		e.finishQuery(ms.ctx, ms.qt, reqs[i].Query, ans, err, true)
+	}
 	var shared, solo []int
 	var batchST *exec.StoredTable
 	for i, r := range reqs {
@@ -103,28 +116,18 @@ func (e *Engine) RunSharedBatch(reqs []BatchRequest) []BatchResponse {
 		if ms.ctx == nil {
 			ms.ctx = context.Background()
 		}
-		var tc obs.TraceContext
-		ms.ctx, tc = obs.EnsureTrace(ms.ctx)
-		ms.qt = e.obs.StartQuery(r.Query)
-		ms.qt.SetTraceContext(tc)
-		if r.Opts.QueueWait > 0 {
-			ms.qt.SetQueueWait(r.Opts.QueueWait)
-		}
+		ms.ctx, ms.qt = e.openQuery(ms.ctx, r.Query, r.Opts.QueueWait)
 		states[i] = ms
 		// Answer reuse applies to batch members too: a replay costs no slot
 		// in the shared pass. Replays are answer-neutral because re-execution
 		// would be bit-identical anyway (randomness is (seed, stream) derived).
 		if hit := e.answerCacheGet(gen, r.Query, r.Opts.BootstrapK); hit != nil {
-			hit.Elapsed = time.Since(ms.start)
-			ms.qt.Root().SetAttr("answer_cached", true)
-			out[i] = BatchResponse{Ans: hit}
-			e.finishQuery(ms.ctx, ms.qt, r.Query, hit, nil, true)
+			finish(i, replayed(ms.qt, hit, ms.start), nil)
 			continue
 		}
 		def, rt, err := e.analyze(ms.qt, r.Query)
 		if err != nil {
-			out[i].Err = err
-			e.finishQuery(ms.ctx, ms.qt, r.Query, nil, err, true)
+			finish(i, nil, err)
 			continue
 		}
 		ms.def, ms.rt = def, rt
@@ -144,8 +147,7 @@ func (e *Engine) RunSharedBatch(reqs []BatchRequest) []BatchResponse {
 		}
 		p, opt, err := e.buildApproxPlan(ms.qt, r.Query, def, ms.st, r.Opts.BootstrapK)
 		if err != nil {
-			out[i].Err = err
-			e.finishQuery(ms.ctx, ms.qt, r.Query, nil, err, true)
+			finish(i, nil, err)
 			continue
 		}
 		ms.p, ms.opt = p, opt
@@ -160,26 +162,9 @@ func (e *Engine) RunSharedBatch(reqs []BatchRequest) []BatchResponse {
 		go func(i int) {
 			defer wg.Done()
 			ms := states[i]
-			q := reqs[i].Query
-			var ans *Answer
-			var err error
-			if ms.st == nil {
-				ans, err = e.runExact(ms.ctx, ms.qt, ms.qt.Root(), q, ms.def, ms.rt)
-			} else {
-				ans, err = e.runApproximate(ms.ctx, ms.qt, q, ms.def, ms.rt, ms.st,
-					reqs[i].Opts.BootstrapK)
-				if err == nil && !e.cfg.DisableFallback {
-					err = e.applyFallback(ms.ctx, ms.qt, ans, ms.def, ms.rt)
-				}
-			}
-			if err != nil {
-				out[i].Err = err
-				e.finishQuery(ms.ctx, ms.qt, q, nil, err, true)
-				return
-			}
-			e.answerCachePut(gen, q, reqs[i].Opts.BootstrapK, ans)
-			out[i] = BatchResponse{Ans: ans}
-			e.finishQuery(ms.ctx, ms.qt, q, ans, nil, true)
+			ans, err := e.answerOn(ms.ctx, ms.qt, reqs[i].Query, ms.def, ms.rt, ms.st,
+				reqs[i].Opts.BootstrapK)
+			finish(i, ans, err)
 		}(i)
 	}
 
@@ -228,14 +213,7 @@ func (e *Engine) RunSharedBatch(reqs []BatchRequest) []BatchResponse {
 					err = e.applyFallback(ms.ctx, ms.qt, ans, ms.def, ms.rt)
 				}
 			}
-			if err != nil {
-				out[i].Err = err
-				e.finishQuery(ms.ctx, ms.qt, q, nil, err, true)
-				continue
-			}
-			e.answerCachePut(gen, q, reqs[i].Opts.BootstrapK, ans)
-			out[i] = BatchResponse{Ans: ans}
-			e.finishQuery(ms.ctx, ms.qt, q, ans, nil, true)
+			finish(i, ans, err)
 		}
 	}
 	wg.Wait()

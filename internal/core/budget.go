@@ -17,7 +17,7 @@ import (
 // aggregate; bootstrap-only queries return an error since their error
 // does not follow a simple 1/√n law for all aggregates.
 func (e *Engine) EstimateRequiredRows(query string, relErr float64) (int, error) {
-	if relErr <= 0 {
+	if !(relErr > 0) {
 		return 0, fmt.Errorf("core: relative error bound must be positive")
 	}
 	def, rt, err := e.analyze(nil, query)
@@ -60,43 +60,41 @@ func (e *Engine) QueryWithTimeBudget(query string, budget time.Duration) (*Answe
 }
 
 // RunWithTimeBudget is QueryWithTimeBudget honouring cancellation.
-func (e *Engine) RunWithTimeBudget(ctx context.Context, query string, budget time.Duration) (ans *Answer, err error) {
+func (e *Engine) RunWithTimeBudget(ctx context.Context, query string, budget time.Duration) (*Answer, error) {
 	if budget <= 0 {
 		return nil, fmt.Errorf("core: time budget must be positive")
 	}
-	ctx, tc := obs.EnsureTrace(ctx)
-	qt := e.obs.StartQuery(query)
-	qt.SetTraceContext(tc)
-	defer func() { e.finishQuery(ctx, qt, query, ans, err, true) }()
-	def, rt, err := e.analyze(qt, query)
-	if err != nil {
-		return nil, err
-	}
-	if len(rt.samples) == 0 {
-		return e.runExact(ctx, qt, qt.Root(), query, def, rt)
-	}
-	pilot := rt.samples[0]
-	pilotAns, err := e.runApproximate(ctx, qt, query, def, rt, pilot, 0)
-	if err != nil {
-		return nil, fmt.Errorf("core: budget pilot: %w", err)
-	}
-	if pilotAns.Elapsed >= budget {
-		// Even the smallest sample blows the budget; it is still the best
-		// we can do.
-		return pilotAns, nil
-	}
-	perRow := float64(pilotAns.Elapsed) / float64(pilot.Data.NumRows())
-	maxRows := int(float64(budget) / perRow * 0.8) // 20% headroom
-	best := pilot
-	for _, st := range rt.samples {
-		if st.Data.NumRows() <= maxRows {
-			best = st
+	return e.runQuery(ctx, query, 0, true, func(ctx context.Context, qt *obs.QueryTrace) (*Answer, error) {
+		def, rt, err := e.analyze(qt, query)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if best == pilot {
-		return pilotAns, nil
-	}
-	return e.runApproximate(ctx, qt, query, def, rt, best, 0)
+		if len(rt.samples) == 0 {
+			return e.runExact(ctx, qt, qt.Root(), query, def, rt)
+		}
+		pilot := rt.samples[0]
+		pilotAns, err := e.runApproximate(ctx, qt, query, def, rt, pilot, 0)
+		if err != nil {
+			return nil, fmt.Errorf("core: budget pilot: %w", err)
+		}
+		if pilotAns.Elapsed >= budget {
+			// Even the smallest sample blows the budget; it is still the best
+			// we can do.
+			return pilotAns, nil
+		}
+		perRow := float64(pilotAns.Elapsed) / float64(pilot.Data.NumRows())
+		maxRows := int(float64(budget) / perRow * 0.8) // 20% headroom
+		best := pilot
+		for _, st := range rt.samples {
+			if st.Data.NumRows() <= maxRows {
+				best = st
+			}
+		}
+		if best == pilot {
+			return pilotAns, nil
+		}
+		return e.runApproximate(ctx, qt, query, def, rt, best, 0)
+	})
 }
 
 // RequiredSampleSizeForError is a convenience re-export of the Fig. 1

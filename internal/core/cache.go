@@ -94,30 +94,34 @@ func (e *Engine) CachedAnswer(ctx context.Context, query string, kCap int) (*Ans
 	if e.answers == nil {
 		return nil, false
 	}
-	gen := e.gen.Load()
 	start := time.Now()
-	ans := e.answerCacheGet(gen, query, kCap)
-	if ans == nil {
+	hit := e.answerCacheGet(e.gen.Load(), query, kCap)
+	if hit == nil {
 		return nil, false
 	}
-	ctx, tc := obs.EnsureTrace(ctx)
-	qt := e.obs.StartQuery(query)
-	qt.SetTraceContext(tc)
-	qt.Root().SetAttr("answer_cached", true)
-	ans.Elapsed = time.Since(start)
-	e.finishQuery(ctx, qt, query, ans, nil, true)
+	ans, _ := e.runQuery(ctx, query, 0, true, func(_ context.Context, qt *obs.QueryTrace) (*Answer, error) {
+		return replayed(qt, hit, start), nil
+	})
 	return ans, true
+}
+
+// replayed stamps an answer-cache hit as this query's answer: its latency
+// is the replay's own, and the trace is marked answer_cached.
+func replayed(qt *obs.QueryTrace, hit *Answer, start time.Time) *Answer {
+	hit.Elapsed = time.Since(start)
+	qt.Root().SetAttr("answer_cached", true)
+	return hit
 }
 
 // CacheStats is the /debug/cache document: per-layer counters plus the
 // per-table hot residency breakdown.
 type CacheStats struct {
-	Enabled    bool               `json:"enabled"`
-	Generation uint64             `json:"catalog_generation"`
-	Block      cache.BlockStats   `json:"block"`
-	Predicate  cache.PredStats    `json:"predicate"`
-	Answer     cache.AnswerStats  `json:"answer"`
-	Tables     []TableCacheStats  `json:"tables,omitempty"`
+	Enabled    bool              `json:"enabled"`
+	Generation uint64            `json:"catalog_generation"`
+	Block      cache.BlockStats  `json:"block"`
+	Predicate  cache.PredStats   `json:"predicate"`
+	Answer     cache.AnswerStats `json:"answer"`
+	Tables     []TableCacheStats `json:"tables,omitempty"`
 }
 
 // TableCacheStats reports how much of one stored table (a registered full

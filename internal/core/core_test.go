@@ -288,8 +288,10 @@ func TestQueryWithErrorBoundEscalates(t *testing.T) {
 	if !impossible.Groups[0].Aggs[0].Exact {
 		t.Error("impossible bound should fall back to exact execution")
 	}
-	if _, err := e.QueryWithErrorBound("SELECT AVG(Time) FROM Sessions", -1); err == nil {
-		t.Error("negative bound accepted")
+	for _, bad := range []float64{-1, math.NaN()} {
+		if _, err := e.QueryWithErrorBound("SELECT AVG(Time) FROM Sessions", bad); err == nil {
+			t.Errorf("invalid bound %v accepted", bad)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/table"
 )
 
 // obsTestQueries cover the pipeline variants: closed form, scaled sum with
@@ -34,7 +35,7 @@ func tracedPair(t *testing.T, mutate func(*Config)) (traced, plain *Engine) {
 		}
 		return e
 	}
-	return mk(obs.NewTracer(obs.Options{})), mk(nil)
+	return mk(obs.NewTracer(obs.Config{})), mk(nil)
 }
 
 // TestTracingDoesNotPerturbAnswers asserts the determinism guarantee:
@@ -108,21 +109,34 @@ func counterAttrSums(spans []obs.SpanSnapshot, into map[string]int64) {
 
 // TestSpanCountersMatchResultCounters asserts the invariant that summing
 // the per-span counter attributes over the whole trace reproduces
-// Result.Counters, for the consolidated pipeline, the naive rewrite, and
-// exact execution. Fallback is disabled because it merges only the
-// scan-side counters into the answer by design.
+// Answer.Counters, for every counter the executor declares: for the
+// consolidated pipeline, the naive rewrite, exact execution, compressed
+// samples behind the block cache, and with fallback on. A fallback answer
+// carries the exact pass's work too, except for per-pass counters, which
+// describe the approximate pass alone.
 func TestSpanCountersMatchResultCounters(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
 		mutate func(*Config)
 		exact  bool
+		// nonZero names counters some query of the mode must exercise.
+		nonZero  []string
+		fallback bool // some query must fall back
 	}{
-		{"consolidated", func(c *Config) { c.DisableFallback = true }, false},
-		{"naive", func(c *Config) { c.DisableFallback = true; c.DisableScanConsolidation = true }, false},
-		{"exact", func(c *Config) { c.DisableFallback = true }, true},
+		{name: "consolidated", mutate: func(c *Config) { c.DisableFallback = true }},
+		{name: "naive", mutate: func(c *Config) { c.DisableFallback = true; c.DisableScanConsolidation = true }},
+		{name: "exact", mutate: func(c *Config) { c.DisableFallback = true }, exact: true},
+		{name: "compressed-cache", mutate: func(c *Config) {
+			c.DisableFallback = true
+			c.SampleBacking = table.BackingCompressed
+			c.CacheBytes = 4 << 20
+		}, nonZero: []string{"blocks_decoded", "decode_ns", "cache_hits", "cache_bytes"}},
+		{name: "fallback", fallback: true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			e, _ := tracedPair(t, mode.mutate)
+			seen := map[string]bool{}
+			fellBack := false
 			for _, q := range obsTestQueries {
 				var ans *Answer
 				var err error
@@ -138,28 +152,33 @@ func TestSpanCountersMatchResultCounters(t *testing.T) {
 				if !ok {
 					t.Fatalf("%s: no trace", q)
 				}
-				sums := map[string]int64{}
+				sums, approx := map[string]int64{}, map[string]int64{}
 				counterAttrSums(tr.Spans, sums)
-				c := ans.Counters
-				for _, check := range []struct {
-					key  string
-					want int64
-				}{
-					{"subqueries", int64(c.Subqueries)},
-					{"scans", int64(c.Scans)},
-					{"rows_scanned", c.RowsScanned},
-					{"bytes_scanned", c.BytesScanned},
-					{"rows_after_filter", c.RowsAfterFilter},
-					{"blocks_skipped", c.BlocksSkipped},
-					{"weight_draws", c.WeightDraws},
-					{"diag_subqueries", int64(c.DiagSubqueries)},
-					{"tasks", int64(c.Tasks)},
-				} {
-					if sums[check.key] != check.want {
-						t.Errorf("%s: span attr %s sums to %d, counters say %d\ntrace:\n%s",
-							q, check.key, sums[check.key], check.want, tr.Structure())
+				for _, s := range tr.Spans {
+					if s.Stage != obs.StageFallback {
+						counterAttrSums([]obs.SpanSnapshot{s}, approx)
 					}
 				}
+				fellBack = fellBack || ans.FellBack()
+				ans.Counters.Each(func(key string, n int64, perPass bool) {
+					want := sums[key]
+					if perPass {
+						want = approx[key]
+					}
+					if n != want {
+						t.Errorf("%s: counters say %s=%d, spans sum to %d\ntrace:\n%s",
+							q, key, n, want, tr.Structure())
+					}
+					seen[key] = seen[key] || n != 0
+				})
+			}
+			for _, key := range mode.nonZero {
+				if !seen[key] {
+					t.Errorf("no query exercised %s", key)
+				}
+			}
+			if mode.fallback && !fellBack {
+				t.Error("no query fell back")
 			}
 		})
 	}
@@ -168,7 +187,7 @@ func TestSpanCountersMatchResultCounters(t *testing.T) {
 // TestMetricsEndpoint boots an engine with a live metrics endpoint and
 // checks both routes end to end.
 func TestMetricsEndpoint(t *testing.T) {
-	tr := obs.NewTracer(obs.Options{})
+	tr := obs.NewTracer(obs.Config{})
 	cfg := Config{Seed: 5, Workers: 2, BootstrapK: 20, Obs: tr, MetricsAddr: "127.0.0.1:0"}
 	e, _ := buildSessions(t, cfg, 20000)
 	if err := e.BuildSamples("Sessions", 7000); err != nil {
@@ -270,7 +289,7 @@ func TestQueryErrorsCarryIdentifier(t *testing.T) {
 // TestNaNRelErrSurvivesJSON ensures a trace with non-finite attributes
 // (e.g. rel_err on a zero estimate) still serializes.
 func TestNaNRelErrSurvivesJSON(t *testing.T) {
-	tr := obs.NewTracer(obs.Options{})
+	tr := obs.NewTracer(obs.Config{})
 	qt := tr.StartQuery("synthetic")
 	qt.Root().StartSpan(obs.StageEstimate).SetAttr("max_rel_err", math.Inf(1))
 	qt.Finish(nil)

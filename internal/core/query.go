@@ -52,46 +52,46 @@ func (e *Engine) Run(ctx context.Context, query string) (*Answer, error) {
 }
 
 // RunWithOptions is Run with per-query overrides.
-func (e *Engine) RunWithOptions(ctx context.Context, query string, opts RunOptions) (ans *Answer, err error) {
+func (e *Engine) RunWithOptions(ctx context.Context, query string, opts RunOptions) (*Answer, error) {
 	var start time.Time
 	gen := e.gen.Load()
 	if e.answers != nil {
 		start = time.Now()
 	}
-	ctx, tc := obs.EnsureTrace(ctx)
-	qt := e.obs.StartQuery(query)
-	qt.SetTraceContext(tc)
-	if opts.QueueWait > 0 {
-		qt.SetQueueWait(opts.QueueWait)
-	}
-	defer func() { e.finishQuery(ctx, qt, query, ans, err, true) }()
-	// Answer reuse: a finished answer for the same canonical SQL, resample
-	// cap and catalog generation replays without executing. Re-execution
-	// would be bit-identical anyway (all randomness is (seed, stream)
-	// derived), so reuse is answer-neutral; the generation in the key makes
-	// RegisterTable/BuildSamples invalidate instantly.
-	if hit := e.answerCacheGet(gen, query, opts.BootstrapK); hit != nil {
-		hit.Elapsed = time.Since(start)
-		qt.Root().SetAttr("answer_cached", true)
-		return hit, nil
-	}
-	def, rt, err := e.analyze(qt, query)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: %s: %w", e.queryID(qt, query), err)
-	}
-	st := e.pickSample(def, rt)
-	if st == nil {
-		ans, err = e.runExact(ctx, qt, qt.Root(), query, def, rt)
+	return e.runQuery(ctx, query, opts.QueueWait, true, func(ctx context.Context, qt *obs.QueryTrace) (*Answer, error) {
+		// Answer reuse: a finished answer for the same canonical SQL,
+		// resample cap and catalog generation replays without executing.
+		// Re-execution would be bit-identical anyway (all randomness is
+		// (seed, stream) derived), so reuse is answer-neutral; the
+		// generation in the key makes RegisterTable/BuildSamples invalidate
+		// instantly.
+		if hit := e.answerCacheGet(gen, query, opts.BootstrapK); hit != nil {
+			return replayed(qt, hit, start), nil
+		}
+		def, rt, err := e.analyze(qt, query)
+		if err != nil {
+			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("core: %s: %w", e.queryID(qt, query), err)
+		}
+		ans, err := e.answerOn(ctx, qt, query, def, rt, e.pickSample(def, rt), opts.BootstrapK)
 		if err != nil {
 			return nil, err
 		}
 		e.answerCachePut(gen, query, opts.BootstrapK, ans)
 		return ans, nil
+	})
+}
+
+// answerOn answers an analyzed query on the sample st — exactly when st is
+// nil — re-answering rejected aggregates exactly unless fallback is off.
+// kCap, when positive, bounds the resample count.
+func (e *Engine) answerOn(ctx context.Context, qt *obs.QueryTrace, query string, def *plan.QueryDef, rt *registeredTable, st *exec.StoredTable, kCap int) (*Answer, error) {
+	if st == nil {
+		return e.runExact(ctx, qt, qt.Root(), query, def, rt)
 	}
-	ans, err = e.runApproximate(ctx, qt, query, def, rt, st, opts.BootstrapK)
+	ans, err := e.runApproximate(ctx, qt, query, def, rt, st, kCap)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +100,6 @@ func (e *Engine) RunWithOptions(ctx context.Context, query string, opts RunOptio
 			return nil, err
 		}
 	}
-	e.answerCachePut(gen, query, opts.BootstrapK, ans)
 	return ans, nil
 }
 
@@ -115,62 +114,60 @@ func (e *Engine) QueryWithErrorBound(query string, relErr float64) (*Answer, err
 
 // RunWithErrorBound is QueryWithErrorBound honouring cancellation; ctx is
 // checked between sample escalations and inside each execution.
-func (e *Engine) RunWithErrorBound(ctx context.Context, query string, relErr float64) (out *Answer, err error) {
-	if relErr <= 0 {
+func (e *Engine) RunWithErrorBound(ctx context.Context, query string, relErr float64) (*Answer, error) {
+	if !(relErr > 0) {
 		return nil, fmt.Errorf("core: relative error bound must be positive")
 	}
-	ctx, tc := obs.EnsureTrace(ctx)
-	qt := e.obs.StartQuery(query)
-	qt.SetTraceContext(tc)
-	defer func() { e.finishQuery(ctx, qt, query, out, err, true) }()
-	def, rt, err := e.analyze(qt, query)
-	if err != nil {
-		return nil, err
-	}
-	if len(rt.samples) == 0 {
-		return e.runExact(ctx, qt, qt.Root(), query, def, rt)
-	}
-	var last *Answer
-	minRows := 0 // samples smaller than this are provably insufficient
-	for _, st := range rt.samples {
-		if st.Data.NumRows() < minRows {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: %s: %w", e.queryID(qt, query), err)
-		}
-		ans, err := e.runApproximate(ctx, qt, query, def, rt, st, 0)
+	return e.runQuery(ctx, query, 0, true, func(ctx context.Context, qt *obs.QueryTrace) (*Answer, error) {
+		def, rt, err := e.analyze(qt, query)
 		if err != nil {
 			return nil, err
 		}
-		last = ans
-		ok := true
-		worstRel := 0.0
-		for _, g := range ans.Groups {
-			for _, a := range g.Aggs {
-				if !a.DiagnosticOK || math.IsNaN(a.RelErr) || a.RelErr > relErr {
-					ok = false
-				}
-				if !math.IsNaN(a.RelErr) && a.RelErr > worstRel {
-					worstRel = a.RelErr
+		if len(rt.samples) == 0 {
+			return e.runExact(ctx, qt, qt.Root(), query, def, rt)
+		}
+		var last *Answer
+		minRows := 0 // samples smaller than this are provably insufficient
+		for _, st := range rt.samples {
+			if st.Data.NumRows() < minRows {
+				continue
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("core: %s: %w", e.queryID(qt, query), err)
+			}
+			ans, err := e.runApproximate(ctx, qt, query, def, rt, st, 0)
+			if err != nil {
+				return nil, err
+			}
+			last = ans
+			ok := true
+			worstRel := 0.0
+			for _, g := range ans.Groups {
+				for _, a := range g.Aggs {
+					if !a.DiagnosticOK || math.IsNaN(a.RelErr) || a.RelErr > relErr {
+						ok = false
+					}
+					if !math.IsNaN(a.RelErr) && a.RelErr > worstRel {
+						worstRel = a.RelErr
+					}
 				}
 			}
+			if ok {
+				return ans, nil
+			}
+			// For closed-form queries the error shrinks as 1/√n: project the
+			// required size from this run and skip samples that cannot
+			// possibly satisfy the bound (BlinkDB's sample-selection jump).
+			if def.ClosedFormOK() && worstRel > relErr && !math.IsInf(worstRel, 0) {
+				ratio := worstRel / relErr
+				minRows = int(float64(st.Data.NumRows()) * ratio * ratio * 0.8)
+			}
 		}
-		if ok {
-			return ans, nil
+		if e.cfg.DisableFallback {
+			return last, nil
 		}
-		// For closed-form queries the error shrinks as 1/√n: project the
-		// required size from this run and skip samples that cannot
-		// possibly satisfy the bound (BlinkDB's sample-selection jump).
-		if def.ClosedFormOK() && worstRel > relErr && !math.IsInf(worstRel, 0) {
-			ratio := worstRel / relErr
-			minRows = int(float64(st.Data.NumRows()) * ratio * ratio * 0.8)
-		}
-	}
-	if e.cfg.DisableFallback {
-		return last, nil
-	}
-	return e.fallbackExact(ctx, qt, query, def, rt, "error bound unmet on all samples")
+		return e.fallbackExact(ctx, qt, query, def, rt, "error bound unmet on all samples")
+	})
 }
 
 // pickSample chooses the sample for an unconstrained query: a stratified
@@ -205,16 +202,14 @@ func (e *Engine) QueryExact(query string) (*Answer, error) {
 }
 
 // RunExact is QueryExact honouring cancellation.
-func (e *Engine) RunExact(ctx context.Context, query string) (ans *Answer, err error) {
-	ctx, tc := obs.EnsureTrace(ctx)
-	qt := e.obs.StartQuery(query)
-	qt.SetTraceContext(tc)
-	defer func() { e.finishQuery(ctx, qt, query, ans, err, false) }()
-	def, rt, err := e.analyze(qt, query)
-	if err != nil {
-		return nil, err
-	}
-	return e.runExact(ctx, qt, qt.Root(), query, def, rt)
+func (e *Engine) RunExact(ctx context.Context, query string) (*Answer, error) {
+	return e.runQuery(ctx, query, 0, false, func(ctx context.Context, qt *obs.QueryTrace) (*Answer, error) {
+		def, rt, err := e.analyze(qt, query)
+		if err != nil {
+			return nil, err
+		}
+		return e.runExact(ctx, qt, qt.Root(), query, def, rt)
+	})
 }
 
 // runExact executes the query on the full table with no sampling pipeline.
@@ -463,15 +458,7 @@ func (e *Engine) applyFallback(ctx context.Context, qt *obs.QueryTrace, ans *Ans
 			ans.Groups[gi].Aggs[ai].DiagnosticReason = reason
 		}
 	}
-	ans.Counters.Scans += exact.Counters.Scans
-	ans.Counters.Subqueries += exact.Counters.Subqueries
-	ans.Counters.RowsScanned += exact.Counters.RowsScanned
-	ans.Counters.BytesScanned += exact.Counters.BytesScanned
-	ans.Counters.BlocksSkipped += exact.Counters.BlocksSkipped
-	ans.Counters.BlocksDecoded += exact.Counters.BlocksDecoded
-	ans.Counters.DecodeNanos += exact.Counters.DecodeNanos
-	ans.Counters.CacheHits += exact.Counters.CacheHits
-	ans.Counters.CacheBytes += exact.Counters.CacheBytes
+	ans.Counters.Merge(exact.Counters)
 	ans.Elapsed += exact.Elapsed
 	return nil
 }

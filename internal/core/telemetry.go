@@ -9,8 +9,32 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/history"
 	"repro/internal/plan"
+	"repro/internal/sql"
 	"repro/internal/watchdog"
 )
+
+// openQuery opens one query's lifecycle: it binds the trace identity on
+// ctx (minting a root when the caller sent none), starts the query trace
+// and records any admission queue wait. Every query entry point opens here
+// and closes through finishQuery.
+func (e *Engine) openQuery(ctx context.Context, query string, queueWait time.Duration) (context.Context, *obs.QueryTrace) {
+	ctx, tc := obs.EnsureTrace(ctx)
+	qt := e.obs.StartQuery(query)
+	qt.SetTraceContext(tc)
+	if queueWait > 0 {
+		qt.SetQueueWait(queueWait)
+	}
+	return ctx, qt
+}
+
+// runQuery runs body as one query between openQuery and finishQuery; the
+// finish is deferred so a panicking body still closes its trace.
+// observeWatchdog is passed through to finishQuery.
+func (e *Engine) runQuery(ctx context.Context, query string, queueWait time.Duration, observeWatchdog bool, body func(context.Context, *obs.QueryTrace) (*Answer, error)) (ans *Answer, err error) {
+	ctx, qt := e.openQuery(ctx, query, queueWait)
+	defer func() { e.finishQuery(ctx, qt, query, ans, err, observeWatchdog) }()
+	return body(ctx, qt)
+}
 
 // finishQuery closes the trace and fans the finished query out to the
 // engine's passive observers: the structured event log (one JSON record
@@ -56,13 +80,11 @@ func (e *Engine) finishQuery(ctx context.Context, qt *obs.QueryTrace, query stri
 		if ans != nil {
 			ev.SampleRows = ans.SampleRows
 			ev.FellBack = ans.FellBack()
-			ev.BlocksSkipped = ans.Counters.BlocksSkipped
-			ev.BlocksDecoded = ans.Counters.BlocksDecoded
-			ev.DecodeNs = ans.Counters.DecodeNanos
 			ev.SharedScan = ans.SharedScan
 			ev.Cached = ans.Cached
-			ev.CacheHits = ans.Counters.CacheHits
-			ev.CacheBytes = ans.Counters.CacheBytes
+			ans.Counters.Each(func(key string, n int64, _ bool) {
+				ev.Counters = append(ev.Counters, obs.Count{Key: key, N: n})
+			})
 			if ans.Plan != nil {
 				ev.BootstrapK = ans.Plan.Opt.BootstrapK
 			}
@@ -129,7 +151,7 @@ func historyRecord(snap obs.TraceSnapshot, query string, ans *Answer, err error)
 	}
 	if def != nil {
 		q.Table = def.Table
-		q.Predicate = history.PredicateSignature(def.Where)
+		q.Predicate = sql.PredicateSignature(def.Where)
 	}
 	for _, g := range ans.Groups {
 		for ai, a := range g.Aggs {
@@ -196,7 +218,7 @@ func watchdogRecord(snap obs.TraceSnapshot, ans *Answer) watchdog.Record {
 	}
 	if def != nil {
 		rec.Table = def.Table
-		rec.Predicate = history.PredicateSignature(def.Where)
+		rec.Predicate = sql.PredicateSignature(def.Where)
 	}
 	for _, g := range ans.Groups {
 		for ai, a := range g.Aggs {

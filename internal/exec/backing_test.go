@@ -214,8 +214,8 @@ func TestRunSharedDecodeChargedOnce(t *testing.T) {
 			}
 		}
 		results, errs := RunShared(context.Background(), items, tables, nil)
-		var decoded, nanos int64
-		scans, carriers := 0, 0
+		var decoded, nanos, scans int64
+		carriers := 0
 		for i, err := range errs {
 			if err != nil {
 				t.Fatalf("%s %q: %v", name, queries[i], err)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/kernel"
 	"repro/internal/obs"
-	"repro/internal/obs/history"
 	"repro/internal/plan"
 	"repro/internal/rng"
 	"repro/internal/sql"
@@ -78,10 +77,10 @@ func (c Config) workers() int {
 type Counters struct {
 	// Subqueries is the number of logical subqueries run against the
 	// stored sample (each one a separate scan in the naive rewrite).
-	Subqueries int
+	Subqueries int64
 	// Scans is the number of physical passes over the sample this
 	// process actually performed.
-	Scans int
+	Scans int64
 	// RowsScanned and BytesScanned total the base-table rows/bytes read
 	// across all physical scans.
 	RowsScanned  int64
@@ -112,26 +111,78 @@ type Counters struct {
 	// resample placement implies (pushdown reduces this).
 	WeightDraws int64
 	// DiagSubqueries counts the diagnostic's subsample query executions.
-	DiagSubqueries int
+	DiagSubqueries int64
 	// Tasks is the number of parallel tasks launched locally.
-	Tasks int
+	Tasks int64
 }
 
-// add accumulates o into c.
+// counterDef is the one declaration of a Counters field: how to reach it,
+// the span attribute (and event-log key) it is reported under, the
+// registry counter it feeds ("" for none), and whether it describes a
+// single pass rather than work that sums across passes.
+type counterDef struct {
+	field   func(*Counters) *int64
+	attr    string
+	metric  string
+	help    string
+	perPass bool
+}
+
+// counterDefs declares every Counters field; all counter plumbing — add,
+// Merge, Each, span attributes and registry metrics — derives from it.
+var counterDefs = [...]counterDef{
+	{func(c *Counters) *int64 { return &c.Subqueries }, "subqueries",
+		"aqp_exec_subqueries_total", "Logical subqueries executed.", false},
+	{func(c *Counters) *int64 { return &c.Scans }, "scans",
+		"aqp_exec_scans_total", "Physical passes over stored samples.", false},
+	{func(c *Counters) *int64 { return &c.RowsScanned }, "rows_scanned",
+		"aqp_exec_rows_scanned_total", "Base-table rows read.", false},
+	{func(c *Counters) *int64 { return &c.BytesScanned }, "bytes_scanned",
+		"aqp_exec_bytes_scanned_total", "Base-table bytes read.", false},
+	{func(c *Counters) *int64 { return &c.RowsAfterFilter }, "rows_after_filter",
+		"", "", true},
+	{func(c *Counters) *int64 { return &c.BlocksSkipped }, "blocks_skipped",
+		"aqp_exec_blocks_skipped_total", "Zone-map blocks pruned from predicate evaluation.", false},
+	{func(c *Counters) *int64 { return &c.BlocksDecoded }, "blocks_decoded",
+		"aqp_storage_blocks_decoded_total", "Storage blocks decoded from compressed/mmap columns.", false},
+	{func(c *Counters) *int64 { return &c.DecodeNanos }, "decode_ns",
+		"aqp_storage_decode_ns_total", "Wall nanoseconds spent decoding storage blocks.", false},
+	{func(c *Counters) *int64 { return &c.CacheHits }, "cache_hits",
+		"aqp_storage_cache_hits_total", "Storage blocks served from the decoded-block cache.", false},
+	{func(c *Counters) *int64 { return &c.CacheBytes }, "cache_bytes",
+		"aqp_storage_cache_bytes_total", "Bytes copied out of the decoded-block cache.", false},
+	{func(c *Counters) *int64 { return &c.WeightDraws }, "weight_draws",
+		"aqp_exec_weight_draws_total", "Poisson resampling weight draws.", false},
+	{func(c *Counters) *int64 { return &c.DiagSubqueries }, "diag_subqueries",
+		"aqp_exec_diag_subqueries_total", "Diagnostic subsample query executions.", false},
+	{func(c *Counters) *int64 { return &c.Tasks }, "tasks",
+		"aqp_exec_tasks_total", "Parallel tasks launched locally.", false},
+}
+
+// add accumulates every counter of o into c.
 func (c *Counters) add(o Counters) {
-	c.Subqueries += o.Subqueries
-	c.Scans += o.Scans
-	c.RowsScanned += o.RowsScanned
-	c.BytesScanned += o.BytesScanned
-	c.RowsAfterFilter += o.RowsAfterFilter
-	c.BlocksSkipped += o.BlocksSkipped
-	c.BlocksDecoded += o.BlocksDecoded
-	c.DecodeNanos += o.DecodeNanos
-	c.CacheHits += o.CacheHits
-	c.CacheBytes += o.CacheBytes
-	c.WeightDraws += o.WeightDraws
-	c.DiagSubqueries += o.DiagSubqueries
-	c.Tasks += o.Tasks
+	for _, d := range counterDefs {
+		*d.field(c) += *d.field(&o)
+	}
+}
+
+// Merge adds the work of another pass o into c: every counter except the
+// per-pass ones (RowsAfterFilter), which describe one pass and do not sum
+// across passes.
+func (c *Counters) Merge(o Counters) {
+	for _, d := range counterDefs {
+		if !d.perPass {
+			*d.field(c) += *d.field(&o)
+		}
+	}
+}
+
+// Each calls fn with every counter's span-attribute key, value and
+// per-pass flag, in declaration order.
+func (c Counters) Each(fn func(key string, n int64, perPass bool)) {
+	for _, d := range counterDefs {
+		fn(d.attr, *d.field(&c), d.perPass)
+	}
 }
 
 // AggOutput is one aggregate's result for one group.
@@ -269,18 +320,7 @@ func runDownstream(ctx context.Context, nodes nodeSet, st *StoredTable, tbl *tab
 				return fmt.Errorf("exec: naive resample scan %d of table %q: %w",
 					r, nodes.scan.Table, err)
 			}
-			naive.add(Counters{
-				Subqueries:    1,
-				Scans:         1,
-				RowsScanned:   rescan.counters.RowsScanned,
-				BytesScanned:  rescan.counters.BytesScanned,
-				BlocksSkipped: rescan.counters.BlocksSkipped,
-				BlocksDecoded: rescan.counters.BlocksDecoded,
-				DecodeNanos:   rescan.counters.DecodeNanos,
-				CacheHits:     rescan.counters.CacheHits,
-				CacheBytes:    rescan.counters.CacheBytes,
-				Tasks:         rescan.counters.Tasks,
-			})
+			naive.Merge(rescan.counters)
 		}
 		res.Counters.add(naive)
 		if traced {
@@ -380,38 +420,19 @@ func now(traced bool) time.Time {
 // attributes. Summing each key over every span of a trace reproduces the
 // run's Result.Counters (asserted by TestSpanCountersMatchResultCounters).
 func addCounterAttrs(s *obs.Span, c Counters) {
-	s.AddInt("subqueries", int64(c.Subqueries))
-	s.AddInt("scans", int64(c.Scans))
-	s.AddInt("rows_scanned", c.RowsScanned)
-	s.AddInt("bytes_scanned", c.BytesScanned)
-	s.AddInt("rows_after_filter", c.RowsAfterFilter)
-	s.AddInt("blocks_skipped", c.BlocksSkipped)
-	s.AddInt("blocks_decoded", c.BlocksDecoded)
-	s.AddInt("decode_ns", c.DecodeNanos)
-	s.AddInt("cache_hits", c.CacheHits)
-	s.AddInt("cache_bytes", c.CacheBytes)
-	s.AddInt("weight_draws", c.WeightDraws)
-	s.AddInt("diag_subqueries", int64(c.DiagSubqueries))
-	s.AddInt("tasks", int64(c.Tasks))
+	if s != nil {
+		c.Each(func(key string, n int64, _ bool) { s.AddInt(key, n) })
+	}
 }
 
-// recordCounters feeds one execution's counters into the metrics registry,
-// so aggregate work accounting no longer relies on hand-merging Counters
-// structs alone.
+// recordCounters feeds one execution's counters into the metrics registry;
+// counters declared without a metric name are skipped.
 func recordCounters(reg *obs.Registry, c Counters) {
-	reg.Counter("aqp_exec_subqueries_total", "Logical subqueries executed.").Add(int64(c.Subqueries))
-	reg.Counter("aqp_exec_scans_total", "Physical passes over stored samples.").Add(int64(c.Scans))
-	reg.Counter("aqp_exec_rows_scanned_total", "Base-table rows read.").Add(c.RowsScanned)
-	reg.Counter("aqp_exec_bytes_scanned_total", "Base-table bytes read.").Add(c.BytesScanned)
-	reg.Counter("aqp_exec_blocks_skipped_total", "Zone-map blocks pruned from predicate evaluation.").Add(c.BlocksSkipped)
-	reg.Counter("aqp_storage_blocks_skipped_total", "Storage blocks never decoded thanks to zone-map pruning.").Add(c.BlocksSkipped)
-	reg.Counter("aqp_storage_blocks_decoded_total", "Storage blocks decoded from compressed/mmap columns.").Add(c.BlocksDecoded)
-	reg.Counter("aqp_storage_decode_ns_total", "Wall nanoseconds spent decoding storage blocks.").Add(c.DecodeNanos)
-	reg.Counter("aqp_storage_cache_hits_total", "Storage blocks served from the decoded-block cache.").Add(c.CacheHits)
-	reg.Counter("aqp_storage_cache_bytes_total", "Bytes copied out of the decoded-block cache.").Add(c.CacheBytes)
-	reg.Counter("aqp_exec_weight_draws_total", "Poisson resampling weight draws.").Add(c.WeightDraws)
-	reg.Counter("aqp_exec_diag_subqueries_total", "Diagnostic subsample query executions.").Add(int64(c.DiagSubqueries))
-	reg.Counter("aqp_exec_tasks_total", "Parallel tasks launched locally.").Add(int64(c.Tasks))
+	for _, d := range counterDefs {
+		if d.metric != "" {
+			reg.Counter(d.metric, d.help).Add(*d.field(&c))
+		}
+	}
 }
 
 // nodeSet is the flattened plan chain.
@@ -557,7 +578,7 @@ func scanFilterProjectMulti(ctx context.Context, members []nodeSet, tbl *table.T
 					cfg.Preds.Store(tbl, pk, pw.skip, pw.skipped)
 				}
 				if cfg.Preds != nil {
-					pw.sig = history.PredicateSignature(nodes.filter.Pred)
+					pw.sig = sql.PredicateSignature(nodes.filter.Pred)
 					if h, ok := cfg.Preds.Hint(tbl, pw.sig); ok {
 						pw.hint = h
 					}
@@ -764,7 +785,7 @@ func scanFilterProjectMulti(ctx context.Context, members []nodeSet, tbl *table.T
 			r.counters.DecodeNanos = decode.nanos
 			r.counters.CacheHits = decode.hits
 			r.counters.CacheBytes = decode.hitBytes
-			r.counters.Tasks = len(parts)
+			r.counters.Tasks = int64(len(parts))
 		}
 		if !skipCharged[pk] {
 			skipCharged[pk] = true
@@ -956,14 +977,14 @@ func bootstrapEstimates(ctx context.Context, nodes nodeSet, values []float64, q 
 		for r := range ests {
 			ests[r] = q.FinalizeFused(sums.WX[r], sums.W[r], len(values))
 		}
-		c.Tasks += sums.Tasks
+		c.Tasks += int64(sums.Tasks)
 	} else {
 		var tasks int
 		ests, tasks = kernel.Generic(ctx, values, k, cfg.Seed, stream, cfg.workers(), q.EvalWeighted)
 		if err := ctx.Err(); err != nil {
 			return nil, c, err
 		}
-		c.Tasks += tasks
+		c.Tasks += int64(tasks)
 	}
 	pushed := nodes.resample == nil || nodes.resample.Pushed
 	if pushed {
@@ -1039,7 +1060,7 @@ func runDiagnostic(ctx context.Context, nodes nodeSet, values []float64, q estim
 	if err != nil {
 		return nil, c, err
 	}
-	c.DiagSubqueries += dres.SubsampleQueries
+	c.DiagSubqueries += int64(dres.SubsampleQueries)
 	if !nodes.diag.Consolidated {
 		// Naive accounting: every subsample query — including the K
 		// bootstrap replications per subsample when ξ is the bootstrap —
@@ -1051,7 +1072,7 @@ func runDiagnostic(ctx context.Context, nodes nodeSet, values []float64, q estim
 				per = estimator.DefaultBootstrapK + 1
 			}
 		}
-		n := len(dcfg.SubsampleSizes) * dcfg.P * per
+		n := int64(len(dcfg.SubsampleSizes) * dcfg.P * per)
 		c.Subqueries += n
 		c.Scans += n
 	}

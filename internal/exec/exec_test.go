@@ -426,7 +426,7 @@ func TestRunNaiveDiagnosticCost(t *testing.T) {
 	}
 	// Closed-form ξ for AVG: 3 sizes × 100 subsamples = 300 extra
 	// subqueries, plus 1 + K bootstrap.
-	want := 1 + 20 + 3*100
+	want := int64(1 + 20 + 3*100)
 	if res.Counters.Subqueries != want {
 		t.Errorf("naive subqueries = %d, want %d", res.Counters.Subqueries, want)
 	}

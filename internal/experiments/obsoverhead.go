@@ -116,12 +116,12 @@ func ObsOverhead(cfg Config) *ObsOverheadResult {
 		switch mode {
 		case "off":
 		case "spans":
-			ecfg.Obs = obs.NewTracer(obs.Options{})
+			ecfg.Obs = obs.NewTracer(obs.Config{})
 		case "spans+eventlog":
-			ecfg.Obs = obs.NewTracer(obs.Options{})
-			ecfg.EventLog = obs.NewEventLog(io.Discard, obs.EventLogOptions{})
+			ecfg.Obs = obs.NewTracer(obs.Config{})
+			ecfg.EventLog = obs.NewEventLog(io.Discard, obs.Config{})
 		case "spans+watchdog":
-			ecfg.Obs = obs.NewTracer(obs.Options{})
+			ecfg.Obs = obs.NewTracer(obs.Config{})
 			wd := watchdog.New(watchdog.Config{
 				AuditFraction: 1.0 / 16,
 				Metrics:       ecfg.Obs.Registry(),
@@ -129,7 +129,7 @@ func ObsOverhead(cfg Config) *ObsOverheadResult {
 			ecfg.Watchdog = wd
 			m.done = append(m.done, wd.Close)
 		case "spans+history":
-			ecfg.Obs = obs.NewTracer(obs.Options{})
+			ecfg.Obs = obs.NewTracer(obs.Config{})
 			dir, err := os.MkdirTemp("", "aqphist-obs")
 			if err != nil {
 				panic(err)
@@ -144,7 +144,7 @@ func ObsOverhead(cfg Config) *ObsOverheadResult {
 				os.RemoveAll(dir) //nolint:errcheck
 			})
 		case "spans+export":
-			ecfg.Obs = obs.NewTracer(obs.Options{})
+			ecfg.Obs = obs.NewTracer(obs.Config{})
 			ecfg.ObsConfig = obs.Config{
 				ExportURL: "http://" + ln.Addr().String() + "/v1/traces",
 			}

@@ -65,7 +65,7 @@ func Stages(cfg Config) *StagesResult {
 	if err != nil {
 		panic(err) // Default() always validates
 	}
-	tracer := obs.NewTracer(obs.Options{})
+	tracer := obs.NewTracer(obs.Config{})
 	e := core.New(core.Config{
 		Seed:       cfg.Seed,
 		Workers:    cfg.Workers,

@@ -19,7 +19,7 @@ import (
 // engine randomness and cannot perturb results.
 type EventLog struct {
 	log *slog.Logger
-	opt EventLogOptions
+	opt Config
 }
 
 // lockedWriter serializes Write calls: slog handlers issue one Write per
@@ -36,7 +36,7 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 }
 
 // NewEventLog returns an event log writing JSON lines to w.
-func NewEventLog(w io.Writer, opt EventLogOptions) *EventLog {
+func NewEventLog(w io.Writer, opt Config) *EventLog {
 	h := slog.NewJSONHandler(&lockedWriter{w: w}, nil)
 	return &EventLog{log: slog.New(h), opt: opt}
 }
@@ -66,24 +66,23 @@ type QueryEvent struct {
 	SampleRows int
 	BootstrapK int
 	FellBack   bool
-	// BlocksSkipped counts zone-map blocks the scan pruned for this query.
-	BlocksSkipped int64
-	// BlocksDecoded counts compressed blocks the scan actually decoded
-	// (zero on raw backings; skipped blocks are never decoded).
-	BlocksDecoded int64
-	// DecodeNs is the wall time spent decoding compressed blocks.
-	DecodeNs int64
 	// SharedScan marks a query answered from a shared-scan batch rather
 	// than its own physical pass.
 	SharedScan bool
 	// Cached marks an answer replayed from the answer cache — no scan,
 	// decode, or resampling happened for this record.
 	Cached bool
-	// CacheHits counts decoded blocks served from the block cache.
-	CacheHits int64
-	// CacheBytes is the decoded bytes those hits avoided re-decoding.
-	CacheBytes int64
-	Aggs       []AggEvent
+	// Counters are the answer's work counters under their span-attribute
+	// keys (rows_scanned, blocks_skipped, ...); zero counters are omitted
+	// from the record.
+	Counters []Count
+	Aggs     []AggEvent
+}
+
+// Count is one named work counter of a query event.
+type Count struct {
+	Key string
+	N   int64
 }
 
 // Emit writes one record. Slow queries (total latency past the threshold),
@@ -130,26 +129,16 @@ func (l *EventLog) Emit(ev QueryEvent) {
 	if ev.FellBack {
 		attrs = append(attrs, slog.Bool("fell_back", true))
 	}
-	if ev.BlocksSkipped > 0 {
-		attrs = append(attrs, slog.Int64("blocks_skipped", ev.BlocksSkipped))
-	}
-	if ev.BlocksDecoded > 0 {
-		attrs = append(attrs, slog.Int64("blocks_decoded", ev.BlocksDecoded))
-	}
-	if ev.DecodeNs > 0 {
-		attrs = append(attrs, slog.Int64("decode_ns", ev.DecodeNs))
-	}
 	if ev.SharedScan {
 		attrs = append(attrs, slog.Bool("shared_scan", true))
 	}
 	if ev.Cached {
 		attrs = append(attrs, slog.Bool("cached", true))
 	}
-	if ev.CacheHits > 0 {
-		attrs = append(attrs, slog.Int64("cache_hits", ev.CacheHits))
-	}
-	if ev.CacheBytes > 0 {
-		attrs = append(attrs, slog.Int64("cache_bytes", ev.CacheBytes))
+	for _, c := range ev.Counters {
+		if c.N > 0 {
+			attrs = append(attrs, slog.Int64(c.Key, c.N))
+		}
 	}
 	if slow {
 		attrs = append(attrs, slog.Bool("slow", true))

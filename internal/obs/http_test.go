@@ -10,7 +10,7 @@ import (
 )
 
 func TestServeMetricsAndDebugQueries(t *testing.T) {
-	tr := NewTracer(Options{RingSize: 4})
+	tr := NewTracer(Config{RingSize: 4})
 	for i := 0; i < 6; i++ {
 		qt := tr.StartQuery(fmt.Sprintf("SELECT %d", i))
 		s := qt.StartSpan(StageScan)

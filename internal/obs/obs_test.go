@@ -165,7 +165,7 @@ func TestConcurrentMetrics(t *testing.T) {
 }
 
 func TestTraceRingBound(t *testing.T) {
-	tr := NewTracer(Options{RingSize: 3})
+	tr := NewTracer(Config{RingSize: 3})
 	for i := 0; i < 5; i++ {
 		qt := tr.StartQuery(fmt.Sprintf("q%d", i))
 		qt.StartSpan(StageScan).End()
@@ -188,7 +188,7 @@ func TestTraceRingBound(t *testing.T) {
 
 func TestSpanAttrsAndStructure(t *testing.T) {
 	mk := func() TraceSnapshot {
-		tr := NewTracer(Options{})
+		tr := NewTracer(Config{})
 		qt := tr.StartQuery("SELECT AVG(x) FROM t")
 		s := qt.StartSpan(StageScan)
 		s.AddInt("rows_scanned", 100)
@@ -227,7 +227,7 @@ func TestSpanAttrsAndStructure(t *testing.T) {
 }
 
 func TestFinishRecordsMetricsAndOutcome(t *testing.T) {
-	tr := NewTracer(Options{})
+	tr := NewTracer(Config{})
 	qt := tr.StartQuery("boom")
 	qt.StartSpan(StageParse).End()
 	qt.Finish(errors.New("parse failed"))
@@ -250,7 +250,7 @@ func TestFinishRecordsMetricsAndOutcome(t *testing.T) {
 }
 
 func TestFormatTrace(t *testing.T) {
-	tr := NewTracer(Options{})
+	tr := NewTracer(Config{})
 	qt := tr.StartQuery("SELECT 1")
 	s := qt.StartSpan(StageScan)
 	s.AddInt("rows_scanned", 10)

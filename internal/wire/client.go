@@ -166,6 +166,12 @@ func (c *Client) Query(sql string) (*Resultset, error) {
 	c.deadline()
 	seq := uint8(0)
 	if err := writePacket(c.nc, &seq, append([]byte{0x03}, sql...)); err != nil {
+		// A server that rejects the command before reading all of it (an
+		// oversize packet) answers ERR and closes, which can fail the
+		// rest of the write; that ERR, when it arrived, is the answer.
+		if p, rerr := readPacket(c.br, &seq, c.opt.maxPacket()); rerr == nil && len(p) > 0 && p[0] == 0xff {
+			return nil, parseErrPayload(p)
+		}
 		return nil, err
 	}
 	first, err := readPacket(c.br, &seq, c.opt.maxPacket())
