@@ -75,8 +75,8 @@ func cloneAnswer(lead *Answer, p *plan.Plan, counters exec.Counters, start time.
 // no sample at all (exact execution), run individually and concurrently —
 // the batch former upstream groups by BatchKey, so in the common case
 // every member shares the scan. Each member keeps its own trace, event-log
-// record, watchdog observation, per-member context and rejected-diagnostic
-// fallback, and its answer is bit-identical to what RunWithOptions would
+// record, watchdog observation (when answered from a sample), per-member
+// context and rejected-diagnostic fallback, and its answer is bit-identical to what RunWithOptions would
 // have produced, because scans contribute no randomness.
 func (e *Engine) RunSharedBatch(reqs []BatchRequest) []BatchResponse {
 	out := make([]BatchResponse, len(reqs))
@@ -107,7 +107,7 @@ func (e *Engine) RunSharedBatch(reqs []BatchRequest) []BatchResponse {
 		}
 		out[i] = BatchResponse{Ans: ans, Err: err}
 		ms := states[i]
-		e.finishQuery(ms.ctx, ms.qt, reqs[i].Query, ans, err, true)
+		e.finishQuery(ms.ctx, ms.qt, reqs[i].Query, ans, err)
 	}
 	var shared, solo []int
 	var batchST *exec.StoredTable

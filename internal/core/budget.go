@@ -64,7 +64,7 @@ func (e *Engine) RunWithTimeBudget(ctx context.Context, query string, budget tim
 	if budget <= 0 {
 		return nil, fmt.Errorf("core: time budget must be positive")
 	}
-	return e.runQuery(ctx, query, 0, true, func(ctx context.Context, qt *obs.QueryTrace) (*Answer, error) {
+	return e.runQuery(ctx, query, 0, func(ctx context.Context, qt *obs.QueryTrace) (*Answer, error) {
 		def, rt, err := e.analyze(qt, query)
 		if err != nil {
 			return nil, err

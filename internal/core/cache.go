@@ -99,7 +99,7 @@ func (e *Engine) CachedAnswer(ctx context.Context, query string, kCap int) (*Ans
 	if hit == nil {
 		return nil, false
 	}
-	ans, _ := e.runQuery(ctx, query, 0, true, func(_ context.Context, qt *obs.QueryTrace) (*Answer, error) {
+	ans, _ := e.runQuery(ctx, query, 0, func(_ context.Context, qt *obs.QueryTrace) (*Answer, error) {
 		return replayed(qt, hit, start), nil
 	})
 	return ans, true

@@ -33,17 +33,21 @@ func buildSessions(t *testing.T, cfg Config, n int) (*Engine, *table.Table) {
 	return e, tbl
 }
 
-// heavyTailTable registers a table whose values break MAX estimation.
-func heavyTailTable(t *testing.T, cfg Config, n int) *Engine {
-	t.Helper()
+// paretoTable builds a one-column table whose values break MAX estimation.
+func paretoTable(n int) *table.Table {
 	src := rng.New(777)
 	vals := make(table.Float64Col, n)
 	for i := range vals {
 		vals[i] = src.Pareto(1, 1.05)
 	}
-	tbl := table.MustNew(table.Schema{{Name: "v", Type: table.Float64}}, vals)
+	return table.MustNew(table.Schema{{Name: "v", Type: table.Float64}}, vals)
+}
+
+// heavyTailTable registers a table whose values break MAX estimation.
+func heavyTailTable(t *testing.T, cfg Config, n int) *Engine {
+	t.Helper()
 	e := New(cfg)
-	if err := e.RegisterTable("T", tbl); err != nil {
+	if err := e.RegisterTable("T", paretoTable(n)); err != nil {
 		t.Fatal(err)
 	}
 	return e

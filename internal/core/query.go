@@ -58,7 +58,7 @@ func (e *Engine) RunWithOptions(ctx context.Context, query string, opts RunOptio
 	if e.answers != nil {
 		start = time.Now()
 	}
-	return e.runQuery(ctx, query, opts.QueueWait, true, func(ctx context.Context, qt *obs.QueryTrace) (*Answer, error) {
+	return e.runQuery(ctx, query, opts.QueueWait, func(ctx context.Context, qt *obs.QueryTrace) (*Answer, error) {
 		// Answer reuse: a finished answer for the same canonical SQL,
 		// resample cap and catalog generation replays without executing.
 		// Re-execution would be bit-identical anyway (all randomness is
@@ -118,7 +118,7 @@ func (e *Engine) RunWithErrorBound(ctx context.Context, query string, relErr flo
 	if !(relErr > 0) {
 		return nil, fmt.Errorf("core: relative error bound must be positive")
 	}
-	return e.runQuery(ctx, query, 0, true, func(ctx context.Context, qt *obs.QueryTrace) (*Answer, error) {
+	return e.runQuery(ctx, query, 0, func(ctx context.Context, qt *obs.QueryTrace) (*Answer, error) {
 		def, rt, err := e.analyze(qt, query)
 		if err != nil {
 			return nil, err
@@ -203,7 +203,7 @@ func (e *Engine) QueryExact(query string) (*Answer, error) {
 
 // RunExact is QueryExact honouring cancellation.
 func (e *Engine) RunExact(ctx context.Context, query string) (*Answer, error) {
-	return e.runQuery(ctx, query, 0, false, func(ctx context.Context, qt *obs.QueryTrace) (*Answer, error) {
+	return e.runQuery(ctx, query, 0, func(ctx context.Context, qt *obs.QueryTrace) (*Answer, error) {
 		def, rt, err := e.analyze(qt, query)
 		if err != nil {
 			return nil, err

@@ -2,12 +2,10 @@ package core
 
 import (
 	"context"
-	"strconv"
 	"time"
 
 	"repro/internal/estimator"
 	"repro/internal/obs"
-	"repro/internal/obs/history"
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/watchdog"
@@ -29,39 +27,39 @@ func (e *Engine) openQuery(ctx context.Context, query string, queueWait time.Dur
 
 // runQuery runs body as one query between openQuery and finishQuery; the
 // finish is deferred so a panicking body still closes its trace.
-// observeWatchdog is passed through to finishQuery.
-func (e *Engine) runQuery(ctx context.Context, query string, queueWait time.Duration, observeWatchdog bool, body func(context.Context, *obs.QueryTrace) (*Answer, error)) (ans *Answer, err error) {
+func (e *Engine) runQuery(ctx context.Context, query string, queueWait time.Duration, body func(context.Context, *obs.QueryTrace) (*Answer, error)) (ans *Answer, err error) {
 	ctx, qt := e.openQuery(ctx, query, queueWait)
-	defer func() { e.finishQuery(ctx, qt, query, ans, err, observeWatchdog) }()
+	defer func() { e.finishQuery(ctx, qt, query, ans, err) }()
 	return body(ctx, qt)
 }
 
-// finishQuery closes the trace and fans the finished query out to the
-// engine's passive observers: the structured event log (one JSON record
-// per query) and the calibration watchdog. Both consume only the finished
-// answer and trace snapshot — no engine randomness, no answer mutation —
-// so answers stay bit-identical with observers on or off (asserted by
-// TestTelemetryDoesNotPerturbAnswers).
+// finishQuery closes the trace and builds the query's one finished-query
+// record for the engine's passive sinks: the structured event log, the
+// history store and the calibration watchdog. The sinks consume only the
+// record — no engine randomness, no answer mutation — so answers stay
+// bit-identical with them on or off (asserted by
+// TestTelemetryDoesNotPerturbAnswers). With no sink attached no record is
+// built.
 //
-// observeWatchdog is false on the exact paths: an exact answer carries no
-// estimated interval to hold to account, and the watchdog's own audits
-// run through runExact.
+// The watchdog holds estimated intervals to account, so it observes a
+// query exactly when it succeeded on a sample: not a cached replay (no new
+// statistical work) and not an exact answer (no estimated interval; the
+// watchdog's own audits run through runExact). Fallback answers keep their
+// sample rows, so their rejections stay in the reject-rate window.
 //
 // ctx supplies the query's trace context when the tracer is disabled (the
 // tracer-built snapshot already carries it via SetTraceContext), so the
-// trace id reaches history and watchdog records either way.
-func (e *Engine) finishQuery(ctx context.Context, qt *obs.QueryTrace, query string, ans *Answer, err error, observeWatchdog bool) {
+// trace id reaches every sink either way.
+func (e *Engine) finishQuery(ctx context.Context, qt *obs.QueryTrace, query string, ans *Answer, err error) {
 	qt.Finish(err)
-	// Cached replays performed no new statistical work, so the watchdog
-	// (which audits interval calibration) must not count them again.
-	watch := observeWatchdog && e.wd != nil && err == nil && ans != nil && !ans.Cached
+	watch := e.wd != nil && err == nil && ans != nil && !ans.Cached && ans.SampleRows > 0
 	if e.elog == nil && !watch && e.hist == nil {
 		return
 	}
 	snap, ok := qt.Snapshot()
 	if !ok {
-		// Tracer disabled but an observer is attached: synthesize the
-		// identity fields the observers need.
+		// Tracer disabled but a sink is attached: synthesize the identity
+		// fields the sinks need.
 		snap = obs.TraceSnapshot{SQL: query, Outcome: obs.Outcome(err)}
 		if tc, tok := obs.TraceFromContext(ctx); tok {
 			snap.TraceID = tc.TraceIDString()
@@ -75,96 +73,49 @@ func (e *Engine) finishQuery(ctx context.Context, qt *obs.QueryTrace, query stri
 			snap.TotalMs = float64(ans.Elapsed) / float64(time.Millisecond)
 		}
 	}
-	if e.elog != nil {
-		ev := obs.QueryEvent{Trace: snap}
-		if ans != nil {
-			ev.SampleRows = ans.SampleRows
-			ev.FellBack = ans.FellBack()
-			ev.SharedScan = ans.SharedScan
-			ev.Cached = ans.Cached
-			ans.Counters.Each(func(key string, n int64, _ bool) {
-				ev.Counters = append(ev.Counters, obs.Count{Key: key, N: n})
-			})
-			if ans.Plan != nil {
-				ev.BootstrapK = ans.Plan.Opt.BootstrapK
-			}
-			for _, g := range ans.Groups {
-				for _, a := range g.Aggs {
-					ev.Aggs = append(ev.Aggs, obs.AggEvent{
-						Group:     g.Key,
-						Name:      a.Name,
-						Estimate:  a.Estimate,
-						Lo:        a.ErrorBar.Lo(),
-						Hi:        a.ErrorBar.Hi(),
-						RelErr:    a.RelErr,
-						Technique: a.Technique,
-						Verdict:   verdict(a.DiagnosticOK),
-						Exact:     a.Exact,
-					})
-				}
+	q := &obs.FinishedQuery{Trace: snap, StagesMs: obs.StageLatencies(snap.Spans), Selectivity: -1}
+	if ans != nil {
+		q.SampleRows = ans.SampleRows
+		q.PopulationRows = ans.PopulationRows
+		q.Selectivity = ans.Selectivity
+		q.KUsed = ans.BootstrapKUsed
+		q.FellBack = ans.FellBack()
+		q.SharedScan = ans.SharedScan
+		q.Cached = ans.Cached
+		ans.Counters.Each(func(key string, n int64, _ bool) {
+			q.Counters = append(q.Counters, obs.Count{Key: key, N: n})
+		})
+		var def *plan.QueryDef
+		if ans.Plan != nil {
+			def = ans.Plan.Def
+			q.KBudget = ans.Plan.Opt.BootstrapK
+		}
+		if def != nil {
+			q.Table = def.Table
+			q.Predicate = sql.PredicateSignature(def.Where)
+		}
+		for _, g := range ans.Groups {
+			for ai, a := range g.Aggs {
+				q.Aggs = append(q.Aggs, obs.AggOutcome{
+					Group:     g.Key,
+					Name:      a.Name,
+					Kind:      aggKindLabel(def, ai),
+					Estimate:  a.Estimate,
+					Center:    a.ErrorBar.Center,
+					HalfWidth: a.ErrorBar.HalfWidth,
+					RelErr:    a.RelErr,
+					Technique: a.Technique,
+					Rejected:  !a.DiagnosticOK,
+					Exact:     a.Exact,
+				})
 			}
 		}
-		e.elog.Emit(ev)
 	}
-	if e.hist != nil {
-		e.hist.AppendQuery(historyRecord(snap, query, ans, err))
-	}
+	e.elog.Emit(q)
+	e.hist.AppendQuery(q)
 	if watch {
-		e.wd.Observe(watchdogRecord(snap, ans))
+		e.wd.Observe(q)
 	}
-}
-
-// historyRecord converts a finished query into the durable history
-// record. Failed queries still produce a (minimal) record — availability
-// SLOs must see them — but carry no plan shape to profile.
-func historyRecord(snap obs.TraceSnapshot, query string, ans *Answer, err error) history.QueryRecord {
-	q := history.QueryRecord{
-		QID:         snap.ID,
-		TraceID:     snap.TraceID,
-		SQL:         query,
-		Outcome:     snap.Outcome,
-		TotalMs:     snap.TotalMs,
-		QueueWaitMs: snap.QueueWaitMs,
-		StagesMs:    obs.StageLatencies(snap.Spans),
-		Selectivity: -1,
-	}
-	if q.Outcome == "" {
-		q.Outcome = obs.Outcome(err)
-	}
-	if ans == nil {
-		return q
-	}
-	q.Sample = sampleLabel(ans.SampleRows)
-	q.Selectivity = ans.Selectivity
-	q.KUsed = ans.BootstrapKUsed
-	q.SharedScan = ans.SharedScan
-	q.FellBack = ans.FellBack()
-	if ans.SampleRows > 0 && ans.PopulationRows > 0 {
-		q.SampleFraction = float64(ans.SampleRows) / float64(ans.PopulationRows)
-	} else if ans.SampleRows == 0 {
-		q.SampleFraction = 1 // exact execution reads the population
-	}
-	var def *plan.QueryDef
-	if ans.Plan != nil {
-		def = ans.Plan.Def
-		q.KBudget = ans.Plan.Opt.BootstrapK
-	}
-	if def != nil {
-		q.Table = def.Table
-		q.Predicate = sql.PredicateSignature(def.Where)
-	}
-	for _, g := range ans.Groups {
-		for ai, a := range g.Aggs {
-			q.Aggs = append(q.Aggs, history.AggSample{
-				Kind:      aggKindLabel(def, ai),
-				RelErr:    a.RelErr,
-				Technique: a.Technique,
-				Rejected:  !a.DiagnosticOK,
-				Exact:     a.Exact,
-			})
-		}
-	}
-	return q
 }
 
 // aggKindLabel names the ai-th aggregate's kind ("AVG", ..., or the UDF
@@ -180,77 +131,14 @@ func aggKindLabel(def *plan.QueryDef, ai int) string {
 	return spec.Kind.String()
 }
 
-// observeAudit is the watchdog→history bridge: every audit outcome
-// becomes a durable audit record and folds into the matching workload
-// profile's empirical-coverage window.
-func (e *Engine) observeAudit(o watchdog.AuditOutcome) {
-	e.hist.AppendAudit(history.AuditRecord{
-		QID:       o.QID,
-		TraceID:   o.TraceID,
-		Table:     o.Table,
-		Sample:    o.Sample,
-		Predicate: o.Predicate,
-		Kind:      o.Kind,
-		Agg:       o.Agg,
-		Group:     o.Group,
-		Covered:   o.Covered,
-		Truth:     o.Truth,
-		Lo:        o.Interval.Lo(),
-		Hi:        o.Interval.Hi(),
-	})
-}
-
-func verdict(ok bool) string {
-	if ok {
-		return "accept"
-	}
-	return "reject"
-}
-
-// watchdogRecord converts a finished answer into the watchdog's view: one
-// AggRecord per aggregate output, keyed by the sample it was answered on.
-func watchdogRecord(snap obs.TraceSnapshot, ans *Answer) watchdog.Record {
-	rec := watchdog.Record{QID: snap.ID, TraceID: snap.TraceID,
-		SQL: ans.SQL, Sample: sampleLabel(ans.SampleRows)}
-	var def *plan.QueryDef
-	if ans.Plan != nil {
-		def = ans.Plan.Def
-	}
-	if def != nil {
-		rec.Table = def.Table
-		rec.Predicate = sql.PredicateSignature(def.Where)
-	}
-	for _, g := range ans.Groups {
-		for ai, a := range g.Aggs {
-			rec.Aggs = append(rec.Aggs, watchdog.AggRecord{
-				Group:     g.Key,
-				Agg:       a.Name,
-				Kind:      aggKindLabel(def, ai),
-				Interval:  a.ErrorBar,
-				Technique: a.Technique,
-				Rejected:  !a.DiagnosticOK,
-				Exact:     a.Exact,
-			})
-		}
-	}
-	return rec
-}
-
-// sampleLabel names the calibration population a query belongs to: the
-// sample's row count, or "exact" for full-data answers.
-func sampleLabel(rows int) string {
-	if rows <= 0 {
-		return "exact"
-	}
-	return strconv.Itoa(rows)
-}
-
-// auditExact is the watchdog's auditor: it re-executes the query exactly —
-// outside the trace ring and the watchdog's own observation loop, so
-// audits never feed back into the statistics they validate — and returns
-// the ground-truth value per aggregate output. Exact execution is
-// deterministic, so audits consume no engine randomness.
-func (e *Engine) auditExact(ctx context.Context, query string) (map[watchdog.AggInstance]float64, error) {
+// auditExact is the watchdog's auditor: it re-executes the observed
+// query exactly — outside the trace ring and the watchdog's own
+// observation loop, so audits never feed back into the statistics they
+// validate — and returns the ground-truth value per aggregate output. Its
+// event-log line carries the audited query's qid and trace id. Exact
+// execution is deterministic, so audits consume no engine randomness.
+func (e *Engine) auditExact(ctx context.Context, q *obs.FinishedQuery) (map[watchdog.AggInstance]float64, error) {
+	query := q.Trace.SQL
 	def, rt, err := e.analyze(nil, query)
 	if err != nil {
 		return nil, err
@@ -258,15 +146,17 @@ func (e *Engine) auditExact(ctx context.Context, query string) (map[watchdog.Agg
 	start := time.Now()
 	ans, err := e.runExact(ctx, nil, nil, query, def, rt)
 	if e.elog != nil {
-		snap := obs.TraceSnapshot{
+		line := &obs.FinishedQuery{Kind: "audit", Trace: obs.TraceSnapshot{
+			ID:      q.Trace.ID,
+			TraceID: q.Trace.TraceID,
 			SQL:     query,
 			Outcome: obs.Outcome(err),
 			TotalMs: float64(time.Since(start)) / float64(time.Millisecond),
-		}
+		}}
 		if err != nil {
-			snap.Err = err.Error()
+			line.Trace.Err = err.Error()
 		}
-		e.elog.Emit(obs.QueryEvent{Trace: snap, Kind: "audit"})
+		e.elog.Emit(line)
 	}
 	if err != nil {
 		return nil, err

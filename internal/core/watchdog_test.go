@@ -276,4 +276,17 @@ func TestEventLogRecordsQueriesAndAudits(t *testing.T) {
 	if agg["verdict"] != "accept" && agg["verdict"] != "reject" {
 		t.Fatalf("agg verdict = %v", agg["verdict"])
 	}
+	// The audit line joins back to the query it audited.
+	if len(lines) != 2 {
+		t.Fatalf("want a query line and its audit line, got %d lines", len(lines))
+	}
+	var audit map[string]any
+	if err := json.Unmarshal([]byte(lines[1]), &audit); err != nil {
+		t.Fatal(err)
+	}
+	if id, _ := rec["trace_id"].(string); audit["kind"] != "audit" || id == "" ||
+		audit["trace_id"] != id || audit["qid"] != rec["qid"] {
+		t.Fatalf("audit line %v does not join query line (trace_id %v, qid %v)",
+			audit, rec["trace_id"], rec["qid"])
+	}
 }

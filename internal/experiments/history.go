@@ -66,23 +66,25 @@ type HistoryBenchResult struct {
 	Convergence []HistoryConvergencePoint `json:"convergence"`
 }
 
-// benchQueryRecord builds a representative query record (a few stages,
+// benchQueryRecord builds a representative finished query (a few stages,
 // two aggregates) so framing and fold costs match production records.
-func benchQueryRecord(qid uint64, sel float64) history.QueryRecord {
-	return history.QueryRecord{
-		QID:            qid,
-		SQL:            "SELECT AVG(X) FROM T WHERE X < ?",
-		Table:          "T",
-		Sample:         "10000",
-		Predicate:      "(x < ?)",
-		Outcome:        "ok",
-		TotalMs:        3.5,
+func benchQueryRecord(qid uint64, sel float64) *obs.FinishedQuery {
+	return &obs.FinishedQuery{
+		Trace: obs.TraceSnapshot{
+			ID:      qid,
+			SQL:     "SELECT AVG(X) FROM T WHERE X < ?",
+			Outcome: "ok",
+			TotalMs: 3.5,
+		},
 		StagesMs:       map[string]float64{"parse": 0.05, "plan": 0.1, "scan": 2.4, "estimate": 0.4},
+		Table:          "T",
+		Predicate:      "(x < ?)",
+		SampleRows:     10000,
+		PopulationRows: 100000,
 		Selectivity:    sel,
-		SampleFraction: 0.1,
 		KBudget:        100,
 		KUsed:          60,
-		Aggs: []history.AggSample{
+		Aggs: []obs.AggOutcome{
 			{Kind: "AVG", RelErr: 0.01, Technique: "closed-form"},
 			{Kind: "SUM", RelErr: 0.02, Technique: "bootstrap"},
 		},

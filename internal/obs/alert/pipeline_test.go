@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/estimator"
+	"repro/internal/obs"
 	"repro/internal/obs/alert"
 	"repro/internal/watchdog"
 )
@@ -56,19 +56,17 @@ func TestAlertPipelineEndToEnd(t *testing.T) {
 		})
 	})
 	// Truth misses the interval for "miss" queries, covers it otherwise.
-	wd.Bind(func(_ context.Context, sql string) (map[watchdog.AggInstance]float64, error) {
+	wd.Bind(func(_ context.Context, q *obs.FinishedQuery) (map[watchdog.AggInstance]float64, error) {
 		truth := 0.0
-		if strings.Contains(sql, "miss") {
+		if strings.Contains(q.Trace.SQL, "miss") {
 			truth = 10
 		}
 		return map[watchdog.AggInstance]float64{{Agg: "A"}: truth}, nil
 	})
 
-	rec := func(sql string) watchdog.Record {
-		return watchdog.Record{SQL: sql, Sample: "1000", Aggs: []watchdog.AggRecord{{
-			Agg: "A", Interval: estimator.Interval{Center: 0, HalfWidth: 1},
-			Technique: "closed-form",
-		}}}
+	rec := func(sql string) *obs.FinishedQuery {
+		return &obs.FinishedQuery{Trace: obs.TraceSnapshot{SQL: sql}, SampleRows: 1000,
+			Aggs: []obs.AggOutcome{{Name: "A", Center: 0, HalfWidth: 1, Technique: "closed-form"}}}
 	}
 
 	// 6 covered + 11 missed: coverage 5/16 < Band(0.5,16,1).lo = 0.375 →

@@ -15,8 +15,8 @@ import (
 //
 // A nil *EventLog is a no-op, mirroring the rest of the obs package:
 // instrumented paths pay one pointer comparison when logging is off. The
-// log only reads finished answers and trace snapshots — it consumes no
-// engine randomness and cannot perturb results.
+// log only reads finished-query records — it consumes no engine
+// randomness and cannot perturb results.
 type EventLog struct {
 	log *slog.Logger
 	opt Config
@@ -41,8 +41,8 @@ func NewEventLog(w io.Writer, opt Config) *EventLog {
 	return &EventLog{log: slog.New(h), opt: opt}
 }
 
-// AggEvent is one aggregate's outcome inside a query event.
-type AggEvent struct {
+// aggLine is one aggregate's encoding inside an event-log record.
+type aggLine struct {
 	Group     string  `json:"group,omitempty"`
 	Name      string  `json:"name"`
 	Estimate  float64 `json:"estimate"`
@@ -52,58 +52,34 @@ type AggEvent struct {
 	Technique string  `json:"technique"`
 	// Verdict is the runtime diagnostic's decision: "accept" or "reject".
 	Verdict string `json:"verdict"`
-	// Exact marks an answer computed on the full dataset (fallback or
-	// exact execution).
-	Exact bool `json:"exact,omitempty"`
-}
-
-// QueryEvent is the one-record-per-query payload handed to Emit. Trace
-// supplies identity, outcome, queue wait and per-stage latencies; the
-// rest comes from the answer.
-type QueryEvent struct {
-	Trace      TraceSnapshot
-	Kind       string // "query" (default) or "audit"
-	SampleRows int
-	BootstrapK int
-	FellBack   bool
-	// SharedScan marks a query answered from a shared-scan batch rather
-	// than its own physical pass.
-	SharedScan bool
-	// Cached marks an answer replayed from the answer cache — no scan,
-	// decode, or resampling happened for this record.
-	Cached bool
-	// Counters are the answer's work counters under their span-attribute
-	// keys (rows_scanned, blocks_skipped, ...); zero counters are omitted
-	// from the record.
-	Counters []Count
-	Aggs     []AggEvent
-}
-
-// Count is one named work counter of a query event.
-type Count struct {
-	Key string
-	N   int64
+	Exact   bool   `json:"exact,omitempty"`
 }
 
 // Emit writes one record. Slow queries (total latency past the threshold),
 // miscalibrated queries (a rejected verdict, or relative error past
 // MaxRelErr) and failed queries log at Warn; everything else at Info.
-func (l *EventLog) Emit(ev QueryEvent) {
+// Non-finite aggregate values are encoded through Finite and FiniteRel.
+func (l *EventLog) Emit(q *FinishedQuery) {
 	if l == nil {
 		return
 	}
-	t := ev.Trace
+	t := q.Trace
 	slow := t.TotalMs >= l.opt.slowMs()
 	miscal := false
-	for _, a := range ev.Aggs {
-		if a.Verdict == "reject" {
+	aggs := make([]aggLine, len(q.Aggs))
+	for i, a := range q.Aggs {
+		if a.Rejected || l.opt.MaxRelErr > 0 && a.RelErr > l.opt.MaxRelErr {
 			miscal = true
 		}
-		if l.opt.MaxRelErr > 0 && a.RelErr > l.opt.MaxRelErr {
-			miscal = true
+		verdict := "accept"
+		if a.Rejected {
+			verdict = "reject"
 		}
+		aggs[i] = aggLine{Group: a.Group, Name: a.Name, Estimate: Finite(a.Estimate),
+			Lo: Finite(a.Lo()), Hi: Finite(a.Hi()), RelErr: FiniteRel(a.RelErr),
+			Technique: a.Technique, Verdict: verdict, Exact: a.Exact}
 	}
-	kind := ev.Kind
+	kind := q.Kind
 	if kind == "" {
 		kind = "query"
 	}
@@ -120,22 +96,22 @@ func (l *EventLog) Emit(ev QueryEvent) {
 	if t.QueueWaitMs > 0 {
 		attrs = append(attrs, slog.Float64("queue_wait_ms", t.QueueWaitMs))
 	}
-	if ev.SampleRows > 0 {
-		attrs = append(attrs, slog.Int("sample_rows", ev.SampleRows))
+	if q.SampleRows > 0 {
+		attrs = append(attrs, slog.Int("sample_rows", q.SampleRows))
 	}
-	if ev.BootstrapK > 0 {
-		attrs = append(attrs, slog.Int("bootstrap_k", ev.BootstrapK))
+	if q.KBudget > 0 {
+		attrs = append(attrs, slog.Int("bootstrap_k", q.KBudget))
 	}
-	if ev.FellBack {
+	if q.FellBack {
 		attrs = append(attrs, slog.Bool("fell_back", true))
 	}
-	if ev.SharedScan {
+	if q.SharedScan {
 		attrs = append(attrs, slog.Bool("shared_scan", true))
 	}
-	if ev.Cached {
+	if q.Cached {
 		attrs = append(attrs, slog.Bool("cached", true))
 	}
-	for _, c := range ev.Counters {
+	for _, c := range q.Counters {
 		if c.N > 0 {
 			attrs = append(attrs, slog.Int64(c.Key, c.N))
 		}
@@ -149,11 +125,11 @@ func (l *EventLog) Emit(ev QueryEvent) {
 	if t.Err != "" {
 		attrs = append(attrs, slog.String("error", t.Err))
 	}
-	if stages := StageLatencies(t.Spans); len(stages) > 0 {
-		attrs = append(attrs, slog.Any("stages_ms", stages))
+	if len(q.StagesMs) > 0 {
+		attrs = append(attrs, slog.Any("stages_ms", q.StagesMs))
 	}
-	if len(ev.Aggs) > 0 {
-		attrs = append(attrs, slog.Any("aggs", ev.Aggs))
+	if len(aggs) > 0 {
+		attrs = append(attrs, slog.Any("aggs", aggs))
 	}
 	level := slog.LevelInfo
 	if slow || miscal || t.Outcome == "error" {
@@ -223,18 +199,4 @@ func (l *EventLog) EmitConn(ev ConnEvent) {
 		level = slog.LevelWarn
 	}
 	l.log.LogAttrs(context.Background(), level, "conn", attrs...)
-}
-
-// StageLatencies flattens the top-level stage spans to a name→ms map;
-// repeated stages (e.g. two diagnostics in a GROUP BY fan-out) accumulate.
-// The event log and the history store share this breakdown.
-func StageLatencies(spans []SpanSnapshot) map[string]float64 {
-	if len(spans) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(spans))
-	for _, s := range spans {
-		out[s.Stage] += s.Ms
-	}
-	return out
 }

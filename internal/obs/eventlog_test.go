@@ -13,7 +13,7 @@ import (
 
 // emitOne round-trips a single event through a fresh log and returns the
 // decoded record.
-func emitOne(t *testing.T, opt Config, ev QueryEvent) map[string]any {
+func emitOne(t *testing.T, opt Config, ev *FinishedQuery) map[string]any {
 	t.Helper()
 	var buf bytes.Buffer
 	NewEventLog(&buf, opt).Emit(ev)
@@ -25,7 +25,7 @@ func emitOne(t *testing.T, opt Config, ev QueryEvent) map[string]any {
 }
 
 func TestEventLogJSONRoundTrip(t *testing.T) {
-	ev := QueryEvent{
+	ev := &FinishedQuery{
 		Trace: TraceSnapshot{
 			ID: 7, SQL: "SELECT AVG(x) FROM t", Outcome: "ok",
 			TotalMs: 12.5, QueueWaitMs: 3.25,
@@ -35,13 +35,14 @@ func TestEventLogJSONRoundTrip(t *testing.T) {
 				{Stage: "estimate", Ms: 1}, // repeated stages accumulate
 			},
 		},
-		SampleRows: 1000, BootstrapK: 100, FellBack: true,
+		SampleRows: 1000, KBudget: 100, FellBack: true,
 		Counters: []Count{{Key: "rows_scanned", N: 4000}, {Key: "blocks_skipped", N: 0}},
-		Aggs: []AggEvent{{
-			Name: "avg(x)", Estimate: 5, Lo: 4, Hi: 6, RelErr: 0.2,
-			Technique: "closed-form", Verdict: "accept",
+		Aggs: []AggOutcome{{
+			Name: "avg(x)", Estimate: 5, Center: 5, HalfWidth: 1, RelErr: 0.2,
+			Technique: "closed-form",
 		}},
 	}
+	ev.StagesMs = StageLatencies(ev.Trace.Spans)
 	rec := emitOne(t, Config{}, ev)
 
 	if rec["level"] != "INFO" {
@@ -83,25 +84,25 @@ func TestEventLogJSONRoundTrip(t *testing.T) {
 }
 
 func TestEventLogWarnLevels(t *testing.T) {
-	base := QueryEvent{Trace: TraceSnapshot{SQL: "q", Outcome: "ok", TotalMs: 1}}
+	base := FinishedQuery{Trace: TraceSnapshot{SQL: "q", Outcome: "ok", TotalMs: 1}}
 
 	slow := base
 	slow.Trace.TotalMs = 250
-	rec := emitOne(t, Config{SlowQueryMs: 200}, slow)
+	rec := emitOne(t, Config{SlowQueryMs: 200}, &slow)
 	if rec["level"] != "WARN" || rec["slow"] != true {
 		t.Fatalf("slow query not flagged at Warn: %v", rec)
 	}
 
 	rejected := base
-	rejected.Aggs = []AggEvent{{Name: "max(x)", Verdict: "reject"}}
-	rec = emitOne(t, Config{}, rejected)
+	rejected.Aggs = []AggOutcome{{Name: "max(x)", Rejected: true}}
+	rec = emitOne(t, Config{}, &rejected)
 	if rec["level"] != "WARN" || rec["miscalibrated"] != true {
 		t.Fatalf("rejected verdict not flagged at Warn: %v", rec)
 	}
 
 	wide := base
-	wide.Aggs = []AggEvent{{Name: "avg(x)", Verdict: "accept", RelErr: 0.5}}
-	rec = emitOne(t, Config{MaxRelErr: 0.1}, wide)
+	wide.Aggs = []AggOutcome{{Name: "avg(x)", RelErr: 0.5}}
+	rec = emitOne(t, Config{MaxRelErr: 0.1}, &wide)
 	if rec["level"] != "WARN" || rec["miscalibrated"] != true {
 		t.Fatalf("rel-err past MaxRelErr not flagged at Warn: %v", rec)
 	}
@@ -109,7 +110,7 @@ func TestEventLogWarnLevels(t *testing.T) {
 	failed := base
 	failed.Trace.Outcome = "error"
 	failed.Trace.Err = "exec blew up"
-	rec = emitOne(t, Config{}, failed)
+	rec = emitOne(t, Config{}, &failed)
 	if rec["level"] != "WARN" || rec["error"] != "exec blew up" {
 		t.Fatalf("failed query not flagged at Warn: %v", rec)
 	}
@@ -117,7 +118,7 @@ func TestEventLogWarnLevels(t *testing.T) {
 
 func TestEventLogNilIsNoop(t *testing.T) {
 	var l *EventLog
-	l.Emit(QueryEvent{Trace: TraceSnapshot{SQL: "q"}}) // must not panic
+	l.Emit(&FinishedQuery{Trace: TraceSnapshot{SQL: "q"}}) // must not panic
 }
 
 // TestEventLogConcurrentEmits drives one log from many goroutines; the
@@ -132,7 +133,7 @@ func TestEventLogConcurrentEmits(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				l.Emit(QueryEvent{Trace: TraceSnapshot{
+				l.Emit(&FinishedQuery{Trace: TraceSnapshot{
 					ID: uint64(w*per + i), SQL: fmt.Sprintf("SELECT %d", w),
 					Outcome: "ok", TotalMs: 1,
 				}})

@@ -204,24 +204,24 @@ func (s *Store) openSegmentLocked() error {
 }
 
 // AppendQuery records one finished query.
-func (s *Store) AppendQuery(q QueryRecord) {
+func (s *Store) AppendQuery(fq *obs.FinishedQuery) {
 	if s == nil {
 		return
 	}
 	now := time.Now()
-	q.sanitize()
+	q := queryRecord(fq)
 	s.prof.foldQuery(&q)
 	s.mon.recordQuery(now.Unix(), q.TotalMs, q.Outcome)
 	s.append(&Record{Kind: KindQuery, TS: now.UnixNano(), Query: &q})
 }
 
 // AppendAudit records one watchdog audit outcome.
-func (s *Store) AppendAudit(a AuditRecord) {
+func (s *Store) AppendAudit(o obs.AuditOutcome) {
 	if s == nil {
 		return
 	}
 	now := time.Now()
-	a.sanitize()
+	a := auditRecord(o)
 	s.prof.foldAudit(&a)
 	s.mon.recordAudit(now.Unix(), a.Table, a.Covered)
 	s.append(&Record{Kind: KindAudit, TS: now.UnixNano(), Audit: &a})

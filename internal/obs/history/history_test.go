@@ -1,28 +1,46 @@
 package history
 
 import (
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
-func testQueryRecord(qid uint64, sel float64) QueryRecord {
-	return QueryRecord{
-		QID:            qid,
-		SQL:            "SELECT AVG(X) FROM T WHERE X < 10",
-		Table:          "T",
-		Sample:         "1000",
-		Predicate:      "(x < ?)",
-		Outcome:        "ok",
-		TotalMs:        2.5,
+func testQuery(qid uint64, sel float64) *obs.FinishedQuery {
+	return &obs.FinishedQuery{
+		Trace: obs.TraceSnapshot{
+			ID:      qid,
+			SQL:     "SELECT AVG(X) FROM T WHERE X < 10",
+			Outcome: "ok",
+			TotalMs: 2.5,
+		},
 		StagesMs:       map[string]float64{"scan": 1.5, "estimate": 0.5},
+		Table:          "T",
+		Predicate:      "(x < ?)",
+		SampleRows:     1000,
+		PopulationRows: 10000,
 		Selectivity:    sel,
-		SampleFraction: 0.1,
 		KBudget:        100,
 		KUsed:          40,
-		Aggs:           []AggSample{{Kind: "AVG", RelErr: 0.02, Technique: "closed-form"}},
+		Aggs:           []obs.AggOutcome{{Name: "AVG(X)", Kind: "AVG", RelErr: 0.02, Technique: "closed-form"}},
 	}
+}
+
+func testQueryRecord(qid uint64, sel float64) QueryRecord {
+	return queryRecord(testQuery(qid, sel))
+}
+
+// testAudit is an audit of testQuery(qid, ·)'s AVG over the interval [4, 6].
+func testAudit(qid uint64, covered bool) obs.AuditOutcome {
+	return obs.AuditOutcome{Query: testQuery(qid, 0.5),
+		Agg:   obs.AggOutcome{Name: "AVG(X)", Kind: "AVG", Center: 5, HalfWidth: 1},
+		Truth: 5, Covered: covered}
 }
 
 func testKey() Key {
@@ -35,10 +53,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AppendQuery(testQueryRecord(1, 0.5))
-	s.AppendAudit(AuditRecord{QID: 1, Table: "T", Sample: "1000",
-		Predicate: "(x < ?)", Kind: "AVG", Agg: "AVG(X)",
-		Covered: true, Truth: 5, Lo: 4, Hi: 6})
+	s.AppendQuery(testQuery(1, 0.5))
+	s.AppendAudit(testAudit(1, true))
 	s.AppendReject("queue_full")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -76,7 +92,7 @@ func TestSegmentRotation(t *testing.T) {
 	}
 	const n = 50
 	for i := 0; i < n; i++ {
-		s.AppendQuery(testQueryRecord(uint64(i), 0.5))
+		s.AppendQuery(testQuery(uint64(i), 0.5))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -106,7 +122,7 @@ func TestCorruptTailSkipped(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
-			s.AppendQuery(testQueryRecord(uint64(i), 0.5))
+			s.AppendQuery(testQuery(uint64(i), 0.5))
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
@@ -186,12 +202,10 @@ func TestKillAndReopen(t *testing.T) {
 	}
 	const n = 25
 	for i := 0; i < n; i++ {
-		s1.AppendQuery(testQueryRecord(uint64(i), 0.3))
+		s1.AppendQuery(testQuery(uint64(i), 0.3))
 	}
 	for i := 0; i < 4; i++ {
-		s1.AppendAudit(AuditRecord{QID: uint64(i), Table: "T", Sample: "1000",
-			Predicate: "(x < ?)", Kind: "AVG", Agg: "AVG(X)",
-			Covered: i != 0, Truth: 5, Lo: 4, Hi: 6})
+		s1.AppendAudit(testAudit(uint64(i), i != 0))
 	}
 	if err := s1.Sync(); err != nil {
 		t.Fatal(err)
@@ -379,7 +393,7 @@ func TestStoreWriteErrorsAreSwallowed(t *testing.T) {
 	s.mu.Lock()
 	s.f.Close() // sabotage the active segment
 	s.mu.Unlock()
-	s.AppendQuery(testQueryRecord(1, 0.5)) // must not panic or error out
+	s.AppendQuery(testQuery(1, 0.5)) // must not panic or error out
 	st := s.Stats()
 	if st.WriteErrors == 0 || st.LastErr == "" {
 		t.Fatalf("stats = %+v, want the write failure counted", st)
@@ -396,8 +410,8 @@ func TestStoreWriteErrorsAreSwallowed(t *testing.T) {
 
 func TestNilStoreIsNoOp(t *testing.T) {
 	var s *Store
-	s.AppendQuery(QueryRecord{})
-	s.AppendAudit(AuditRecord{})
+	s.AppendQuery(&obs.FinishedQuery{})
+	s.AppendAudit(obs.AuditOutcome{})
 	s.AppendReject("x")
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
@@ -431,7 +445,7 @@ func TestReplayRecentWindowResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1.AppendQuery(testQueryRecord(1, 0.5))
+	s1.AppendQuery(testQuery(1, 0.5))
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -450,5 +464,67 @@ func TestReplayRecentWindowResumes(t *testing.T) {
 	sts := s2.SLOStatuses()
 	if len(sts) != 1 || sts[0].Events != 1 {
 		t.Fatalf("post-restart SLO window = %+v, want the replayed event", sts)
+	}
+}
+
+// TestFrameFormatPinned pins the durable JSON of one query frame and one
+// audit frame byte for byte (timestamps zeroed): segments outlive the
+// process that wrote them, so the payload shape must never drift
+// silently.
+func TestFrameFormatPinned(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{SampleInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &obs.FinishedQuery{
+		Trace: obs.TraceSnapshot{ID: 7, TraceID: "4bf92f3577b34da6a3ce929d0e0e4736",
+			SQL: "SELECT AVG(X), MAX(X) FROM T WHERE X < 10", Outcome: "ok",
+			TotalMs: 2.5, QueueWaitMs: 0.75},
+		StagesMs: map[string]float64{"scan": 1.5, "estimate": 0.5},
+		Table:    "T", Predicate: "(x < ?)",
+		SampleRows: 1000, PopulationRows: 10000, Selectivity: 0.25,
+		KBudget: 100, KUsed: 40, SharedScan: true, FellBack: true,
+		Aggs: []obs.AggOutcome{
+			{Name: "AVG(X)", Kind: "AVG", Estimate: 5, Center: 5, HalfWidth: 0.1,
+				RelErr: 0.02, Technique: "closed-form"},
+			{Name: "MAX(X)", Kind: "MAX", Estimate: 9, Center: 9, RelErr: math.NaN(),
+				Technique: "exact", Rejected: true, Exact: true},
+		},
+	}
+	s.AppendQuery(q)
+	s.AppendAudit(obs.AuditOutcome{Query: q,
+		Agg:   obs.AggOutcome{Name: "AVG(X)", Kind: "AVG", Group: "g", Center: 5, HalfWidth: 1},
+		Truth: 5, Covered: true})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := listSegments(dir)
+	if err != nil || len(names) != 1 {
+		t.Fatalf("segments = %v, %v", names, err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, names[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := regexp.MustCompile(`"ts":[0-9]+`)
+	var frames []string
+	for off := segHeaderLen; off < len(data); {
+		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
+		payload := data[off+frameOverhead : off+frameOverhead+n]
+		frames = append(frames, ts.ReplaceAllString(string(payload), `"ts":0`))
+		off += frameOverhead + n
+	}
+	want := []string{
+		`{"kind":"query","ts":0,"query":{"qid":7,"trace_id":"4bf92f3577b34da6a3ce929d0e0e4736","sql":"SELECT AVG(X), MAX(X) FROM T WHERE X \u003c 10","table":"T","sample":"1000","predicate":"(x \u003c ?)","outcome":"ok","total_ms":2.5,"queue_wait_ms":0.75,"stages_ms":{"estimate":0.5,"scan":1.5},"selectivity":0.25,"sample_fraction":0.1,"k_budget":100,"k_used":40,"shared_scan":true,"fell_back":true,"aggs":[{"kind":"AVG","rel_err":0.02,"technique":"closed-form"},{"kind":"MAX","rel_err":-1,"technique":"exact","rejected":true,"exact":true}]}}`,
+		`{"kind":"audit","ts":0,"audit":{"qid":7,"trace_id":"4bf92f3577b34da6a3ce929d0e0e4736","table":"T","sample":"1000","predicate":"(x \u003c ?)","kind":"AVG","agg":"AVG(X)","group":"g","covered":true,"truth":5,"lo":4,"hi":6}}`,
+	}
+	if len(frames) != len(want) {
+		t.Fatalf("%d frames, want %d:\n%s", len(frames), len(want), strings.Join(frames, "\n"))
+	}
+	for i := range want {
+		if frames[i] != want[i] {
+			t.Errorf("frame %d drifted:\n got  %s\n want %s", i, frames[i], want[i])
+		}
 	}
 }

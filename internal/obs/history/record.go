@@ -1,19 +1,18 @@
 package history
 
-import "math"
+import "repro/internal/obs"
 
 // Record kinds. Every record in a segment is exactly one of these.
 const (
-	KindQuery  = "query"  // one finished query (core.finishQuery)
+	KindQuery  = "query"  // one finished query
 	KindAudit  = "audit"  // one watchdog ground-truth comparison
 	KindReject = "reject" // one admission-layer rejection (never executed)
 )
 
 // Record is the unit of the history log: a kind tag, a wall-clock
-// timestamp, and exactly one populated payload. All float fields are
-// sanitized to finite values before appending because the payload is
-// JSON — NaN half-widths become the -1 "undefined" sentinel (RelErr) or
-// zero (everything else).
+// timestamp, and exactly one populated payload. Float fields are mapped
+// through obs.FiniteRel (RelErr) and obs.Finite (everything else) when
+// the payload is projected, because the payload is JSON.
 type Record struct {
 	Kind string `json:"kind"`
 	// TS is the record's wall-clock time in Unix nanoseconds.
@@ -96,37 +95,66 @@ type RejectRecord struct {
 	Reason string `json:"reason"`
 }
 
-// finite clamps non-finite floats to zero so records always JSON-encode.
-func finite(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
+// queryRecord projects a finished query onto its durable record. A query
+// that produced no answer keeps its identity, outcome and latency.
+func queryRecord(fq *obs.FinishedQuery) QueryRecord {
+	t := &fq.Trace
+	q := QueryRecord{
+		QID:         t.ID,
+		TraceID:     t.TraceID,
+		SQL:         t.SQL,
+		Table:       fq.Table,
+		Predicate:   fq.Predicate,
+		Outcome:     t.Outcome,
+		TotalMs:     obs.Finite(t.TotalMs),
+		QueueWaitMs: obs.Finite(t.QueueWaitMs),
+		Selectivity: obs.Finite(fq.Selectivity),
+		KBudget:     fq.KBudget,
+		KUsed:       fq.KUsed,
+		SharedScan:  fq.SharedScan,
+		FellBack:    fq.FellBack,
 	}
-	return v
+	if len(fq.StagesMs) > 0 {
+		q.StagesMs = make(map[string]float64, len(fq.StagesMs))
+		for k, v := range fq.StagesMs {
+			q.StagesMs[k] = obs.Finite(v)
+		}
+	}
+	if t.Outcome == "ok" {
+		q.Sample = fq.Sample()
+		if fq.SampleRows == 0 {
+			q.SampleFraction = 1 // exact execution reads the population
+		} else if fq.PopulationRows > 0 {
+			q.SampleFraction = obs.Finite(float64(fq.SampleRows) / float64(fq.PopulationRows))
+		}
+	}
+	for _, a := range fq.Aggs {
+		q.Aggs = append(q.Aggs, AggSample{
+			Kind:      a.Kind,
+			RelErr:    obs.FiniteRel(a.RelErr),
+			Technique: a.Technique,
+			Rejected:  a.Rejected,
+			Exact:     a.Exact,
+		})
+	}
+	return q
 }
 
-// finiteRel maps a non-finite relative error to the -1 sentinel.
-func finiteRel(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-		return -1
+// auditRecord projects an audit outcome onto its durable record.
+func auditRecord(o obs.AuditOutcome) AuditRecord {
+	q := o.Query
+	return AuditRecord{
+		QID:       q.Trace.ID,
+		TraceID:   q.Trace.TraceID,
+		Table:     q.Table,
+		Sample:    q.Sample(),
+		Predicate: q.Predicate,
+		Kind:      o.Agg.Kind,
+		Agg:       o.Agg.Name,
+		Group:     o.Agg.Group,
+		Covered:   o.Covered,
+		Truth:     obs.Finite(o.Truth),
+		Lo:        obs.Finite(o.Agg.Lo()),
+		Hi:        obs.Finite(o.Agg.Hi()),
 	}
-	return v
-}
-
-func (q *QueryRecord) sanitize() {
-	q.TotalMs = finite(q.TotalMs)
-	q.QueueWaitMs = finite(q.QueueWaitMs)
-	q.Selectivity = finite(q.Selectivity)
-	q.SampleFraction = finite(q.SampleFraction)
-	for k, v := range q.StagesMs {
-		q.StagesMs[k] = finite(v)
-	}
-	for i := range q.Aggs {
-		q.Aggs[i].RelErr = finiteRel(q.Aggs[i].RelErr)
-	}
-}
-
-func (a *AuditRecord) sanitize() {
-	a.Truth = finite(a.Truth)
-	a.Lo = finite(a.Lo)
-	a.Hi = finite(a.Hi)
 }
