@@ -143,9 +143,7 @@ func run(cfg daemonConfig) error {
 		bus.AddSink(alert.NewLogSink(slog.New(slog.NewJSONHandler(os.Stderr, nil))))
 	}
 	if cfg.alertWebhook != "" {
-		webhook := alert.NewWebhookSink(cfg.alertWebhook, alert.WebhookOptions{
-			Metrics: tracer.Registry(),
-		})
+		webhook := alert.NewWebhookSink(cfg.alertWebhook, tracer.Registry())
 		defer webhook.Close()
 		bus.AddSink(webhook)
 	}
@@ -173,6 +171,7 @@ func run(cfg daemonConfig) error {
 		wd = watchdog.New(watchdog.Config{
 			AuditFraction: cfg.auditFraction,
 			Metrics:       tracer.Registry(),
+			Alerts:        bus,
 		})
 		defer wd.Close()
 	}

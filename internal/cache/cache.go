@@ -21,11 +21,10 @@ import (
 	"repro/internal/obs"
 )
 
-// block value kinds; part of the cache key so a column read both widened
-// (ReadF64 on an int64 column) and natively never aliases entries.
+// block value kinds; part of the cache key so a column's float64 and
+// string decodings never alias entries.
 const (
 	kindF64 = iota
-	kindI64
 	kindStr
 )
 
@@ -162,18 +161,6 @@ func (c *BlockCache) GetF64(col any, b, bLen int, fill func([]float64)) (vals []
 			return dst
 		})
 	return v.([]float64), hit
-}
-
-// GetI64 is GetF64 for int64-decoded blocks.
-func (c *BlockCache) GetI64(col any, b, bLen int, fill func([]int64)) (vals []int64, hit bool) {
-	v, hit := c.get(blockKey{col: col, block: b, kind: kindI64},
-		int64(bLen)*8+entryOverhead,
-		func() any {
-			dst := make([]int64, bLen)
-			fill(dst)
-			return dst
-		})
-	return v.([]int64), hit
 }
 
 // GetStr is GetF64 for string blocks. sized is called after decode to

@@ -147,9 +147,9 @@ type Config struct {
 	// on the same server. The engine does not own the store — Close it
 	// separately.
 	History *history.Store
-	// Alerts, when set, is the unified alert bus the engine bridges the
-	// watchdog's raise/clear lifecycle onto (source="watchdog"); when
-	// MetricsAddr is set, /debug/alerts is mounted on the same server.
+	// Alerts, when set, is the unified alert bus served at /debug/alerts
+	// when MetricsAddr is set. The engine raises nothing on it: producers
+	// (watchdog, SLO monitor, serve) take the bus in their own configs.
 	// Provably inert like the rest of the obs tree. The engine does not
 	// own the bus — close its sinks separately.
 	Alerts *alert.Bus
@@ -245,9 +245,6 @@ func New(cfg Config) *Engine {
 		if e.hist != nil {
 			e.wd.SetAuditObserver(e.hist.AppendAudit)
 		}
-		if e.alerts != nil {
-			e.wd.SetAlertNotifier(e.notifyWatchdogAlert)
-		}
 	}
 	if cfg.MetricsAddr != "" && e.obs == nil {
 		e.obs = obs.NewTracer(cfg.ObsConfig)
@@ -310,31 +307,6 @@ func New(cfg Config) *Engine {
 		}
 	}
 	return e
-}
-
-// notifyWatchdogAlert bridges the watchdog's raise/clear lifecycle onto
-// the unified alert bus. Undercoverage is the dangerous direction (the
-// paper's "optimistic and incorrect" intervals) and grades critical;
-// overcoverage and reject drift are warnings.
-func (e *Engine) notifyWatchdogAlert(a watchdog.Alert, firing bool) {
-	kind := string(a.Kind)
-	key := a.Key.String()
-	if !firing {
-		e.alerts.Resolve("watchdog", kind, key)
-		return
-	}
-	sev := alert.SeverityWarning
-	if a.Kind == watchdog.Undercoverage {
-		sev = alert.SeverityCritical
-	}
-	e.alerts.Raise(alert.Alert{
-		Source: "watchdog", Kind: kind, Key: key, Severity: sev,
-		Observed: a.Observed, Expected: a.Expected, Message: a.Message,
-		Labels: map[string]string{
-			"agg":    a.Key.Agg,
-			"sample": a.Key.Sample,
-		},
-	})
 }
 
 // Tracer returns the engine's tracer (nil when telemetry is disabled).

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/alert"
 	"repro/internal/rng"
 	"repro/internal/table"
 	"repro/internal/watchdog"
@@ -83,23 +84,26 @@ func TestWatchdogFlagsMiscalibratedMax(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	alerts := wd.ActiveAlerts()
-	var under *watchdog.Alert
-	for i := range alerts {
-		if alerts[i].Kind == watchdog.Undercoverage {
-			under = &alerts[i]
+	st := wd.Status()
+	var under *alert.Event
+	for i := range st.ActiveAlerts {
+		if st.ActiveAlerts[i].Kind == string(watchdog.Undercoverage) {
+			under = &st.ActiveAlerts[i]
 		}
 	}
 	if under == nil {
-		t.Fatalf("no undercoverage alert after a window of missed intervals; status: %+v",
-			wd.Status())
+		t.Fatalf("no undercoverage alert after a window of missed intervals; status: %+v", st)
 	}
-	if under.Window > 64 {
-		t.Fatalf("alert needed %d audits, more than one rolling window", under.Window)
+	if len(st.Keys) != 1 {
+		t.Fatalf("keys = %+v, want the one MAX key", st.Keys)
 	}
-	if under.Observed >= under.Lo {
+	k := st.Keys[0]
+	if k.CoverageWindow > 64 {
+		t.Fatalf("alert needed %d audits, more than one rolling window", k.CoverageWindow)
+	}
+	if under.Observed >= k.CoverageLo {
 		t.Fatalf("alert inconsistent: observed %v within band [%v,%v]",
-			under.Observed, under.Lo, under.Hi)
+			under.Observed, k.CoverageLo, k.CoverageHi)
 	}
 }
 
@@ -135,14 +139,14 @@ func TestWatchdogQuietOnCalibratedQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if alerts := wd.ActiveAlerts(); len(alerts) != 0 {
-		t.Fatalf("calibrated estimator raised alerts: %+v", alerts)
+	st := wd.Status()
+	if len(st.ActiveAlerts) != 0 {
+		t.Fatalf("calibrated estimator raised alerts: %+v", st.ActiveAlerts)
 	}
-	if h := wd.History(); len(h) != 0 {
-		t.Fatalf("calibrated estimator has alert history: %+v", h)
+	if len(st.History) != 0 {
+		t.Fatalf("calibrated estimator has alert history: %+v", st.History)
 	}
 	// The quiet verdict must rest on real audits, not an empty window.
-	st := wd.Status()
 	if len(st.Keys) == 0 {
 		t.Fatal("watchdog observed no keys")
 	}

@@ -87,11 +87,12 @@ type SinkFunc func(Event)
 // Notify implements Sink.
 func (f SinkFunc) Notify(ev Event) { f(ev) }
 
+// historySize bounds the in-memory ring of past transitions.
+const historySize = 128
+
 // Config tunes a Bus.
 type Config struct {
-	// History bounds the in-memory ring of past transitions (0 = 128).
-	History int
-	// Metrics receives aqp_alert_* series (nil = unmetered).
+	// Metrics receives the aqp_alerts_* series (nil = unmetered).
 	Metrics *obs.Registry
 	// Sinks receive every firing/resolved transition.
 	Sinks []Sink
@@ -119,17 +120,10 @@ type Bus struct {
 // New builds a bus.
 func New(cfg Config) *Bus {
 	b := &Bus{cfg: cfg, active: make(map[busKey]*Event)}
-	b.history = make([]Event, 0, cfg.historySize())
+	b.history = make([]Event, 0, historySize)
 	b.mActive = cfg.Metrics.Gauge("aqp_alerts_active",
 		"Alert episodes currently firing.")
 	return b
-}
-
-func (c Config) historySize() int {
-	if c.History <= 0 {
-		return 128
-	}
-	return c.History
 }
 
 // AddSink registers an additional sink. Not safe to call concurrently
@@ -221,13 +215,12 @@ func (b *Bus) Resolve(source, kind, key string) {
 }
 
 func (b *Bus) pushHistoryLocked(ev Event) {
-	max := b.cfg.historySize()
-	if len(b.history) < max {
+	if len(b.history) < historySize {
 		b.history = append(b.history, ev)
 		return
 	}
 	b.history[b.histAt] = ev
-	b.histAt = (b.histAt + 1) % max
+	b.histAt = (b.histAt + 1) % historySize
 	b.full = true
 }
 

@@ -2,6 +2,7 @@ package alert
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
@@ -95,7 +96,7 @@ func TestBusLifecycle(t *testing.T) {
 // ends empty.
 func TestBusConcurrent(t *testing.T) {
 	sink := &countingSink{}
-	b := New(Config{History: 4096, Sinks: []Sink{sink}})
+	b := New(Config{Sinks: []Sink{sink}})
 	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 
 	var wg sync.WaitGroup
@@ -126,11 +127,17 @@ func TestBusConcurrent(t *testing.T) {
 	if f == 0 || f != r {
 		t.Fatalf("firing=%d resolved=%d, want equal and nonzero", f, r)
 	}
-	// History alternates per key: a resolve may only follow a raise.
+	// History alternates per key: a resolve may only follow a raise. The
+	// ring keeps the newest historySize transitions, so a key's oldest
+	// retained event may be a resolve whose raise was overwritten.
+	hist := b.History()
+	if len(hist) != historySize {
+		t.Fatalf("history holds %d transitions, want a full ring of %d", len(hist), historySize)
+	}
 	state := map[string]State{}
-	for _, ev := range b.History() {
-		prev := state[ev.Key]
-		if ev.State == StateResolved && prev != StateFiring {
+	for _, ev := range hist {
+		prev, seen := state[ev.Key]
+		if ev.State == StateResolved && seen && prev != StateFiring {
 			t.Fatalf("resolved %q without a preceding firing", ev.Key)
 		}
 		state[ev.Key] = ev.State
@@ -138,17 +145,17 @@ func TestBusConcurrent(t *testing.T) {
 }
 
 func TestBusHistoryRing(t *testing.T) {
-	b := New(Config{History: 4})
-	for i := 0; i < 6; i++ {
-		b.Raise(Alert{Source: "s", Kind: "k", Key: string(rune('a' + i))})
+	b := New(Config{})
+	for i := 0; i < historySize+2; i++ {
+		b.Raise(Alert{Source: "s", Kind: "k", Key: fmt.Sprint("k", i)})
 	}
 	hist := b.History()
-	if len(hist) != 4 {
-		t.Fatalf("history length = %d, want 4 (ring cap)", len(hist))
+	if len(hist) != historySize {
+		t.Fatalf("history length = %d, want %d (ring cap)", len(hist), historySize)
 	}
 	// Oldest-first unroll: the two earliest episodes were overwritten.
-	if hist[0].Key != "c" || hist[3].Key != "f" {
-		t.Fatalf("ring order wrong: %q..%q", hist[0].Key, hist[3].Key)
+	if first, last := hist[0].Key, hist[historySize-1].Key; first != "k2" || last != fmt.Sprint("k", historySize+1) {
+		t.Fatalf("ring order wrong: %q..%q", first, last)
 	}
 }
 

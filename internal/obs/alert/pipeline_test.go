@@ -14,10 +14,10 @@ import (
 	"repro/internal/watchdog"
 )
 
-// TestAlertPipelineEndToEnd drives the full chain the ISSUE's alert
-// smoke requires: induced undercoverage in the calibration watchdog →
-// raise on the unified bus → webhook sink delivers a firing event; then
-// recovery → clear → the same webhook receives the resolved event.
+// TestAlertPipelineEndToEnd drives the full alert chain: induced
+// undercoverage in the calibration watchdog → raise on the unified bus →
+// webhook sink delivers a firing event; then recovery → resolve → the
+// same webhook receives the resolved event.
 func TestAlertPipelineEndToEnd(t *testing.T) {
 	events := make(chan alert.Event, 16)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -30,31 +30,17 @@ func TestAlertPipelineEndToEnd(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	webhook := alert.NewWebhookSink(srv.URL, alert.WebhookOptions{})
+	webhook := alert.NewWebhookSink(srv.URL, nil)
 	defer webhook.Close()
 	bus := alert.New(alert.Config{Sinks: []alert.Sink{webhook}})
 
-	// The same watchdog→bus bridge core.New installs.
+	// The watchdog raises onto the bus it is given, as aqpd wires it.
 	wd := watchdog.New(watchdog.Config{
 		Window: 16, MinAudits: 16, AuditFraction: 1,
 		Nominal: 0.5, Tolerance: 1, Synchronous: true,
+		Alerts: bus,
 	})
 	defer wd.Close()
-	wd.SetAlertNotifier(func(a watchdog.Alert, firing bool) {
-		if !firing {
-			bus.Resolve("watchdog", string(a.Kind), a.Key.String())
-			return
-		}
-		bus.Raise(alert.Alert{
-			Source:   "watchdog",
-			Kind:     string(a.Kind),
-			Key:      a.Key.String(),
-			Severity: alert.SeverityCritical,
-			Message:  a.Message,
-			Observed: a.Observed,
-			Expected: a.Expected,
-		})
-	})
 	// Truth misses the interval for "miss" queries, covers it otherwise.
 	wd.Bind(func(_ context.Context, q *obs.FinishedQuery) (map[watchdog.AggInstance]float64, error) {
 		truth := 0.0
@@ -85,7 +71,9 @@ func TestAlertPipelineEndToEnd(t *testing.T) {
 		t.Fatal("webhook never received the firing alert")
 	}
 	if firing.State != alert.StateFiring || firing.Source != "watchdog" ||
-		firing.Kind != "undercoverage" || firing.Key != "A@1000" {
+		firing.Kind != "undercoverage" || firing.Key != "A@1000" ||
+		firing.Severity != alert.SeverityCritical ||
+		firing.Labels["agg"] != "A" || firing.Labels["sample"] != "1000" {
 		t.Fatalf("firing event = %+v", firing)
 	}
 	if len(bus.Active()) != 1 {

@@ -1,14 +1,10 @@
 package alert
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"log/slog"
-	"net/http"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -44,58 +40,16 @@ func NewLogSink(logger *slog.Logger) Sink {
 	})
 }
 
-// WebhookOptions tunes a webhook sink.
-type WebhookOptions struct {
-	// QueueSize bounds pending deliveries (0 = 64); overflow drops.
-	QueueSize int
-	// MaxRetries is extra attempts per delivery after the first (0 = 3).
-	MaxRetries int
-	// RetryBackoff is the base inter-attempt delay, scaled linearly
-	// (0 = 250ms).
-	RetryBackoff time.Duration
-	// Timeout bounds each POST (0 = 5s).
-	Timeout time.Duration
-	// Metrics receives aqp_alert_webhook_* series.
-	Metrics *obs.Registry
-}
-
-func (o WebhookOptions) queueSize() int {
-	if o.QueueSize <= 0 {
-		return 64
-	}
-	return o.QueueSize
-}
-
-func (o WebhookOptions) maxRetries() int {
-	if o.MaxRetries <= 0 {
-		return 3
-	}
-	return o.MaxRetries
-}
-
-func (o WebhookOptions) retryBackoff() time.Duration {
-	if o.RetryBackoff <= 0 {
-		return 250 * time.Millisecond
-	}
-	return o.RetryBackoff
-}
-
-func (o WebhookOptions) timeout() time.Duration {
-	if o.Timeout <= 0 {
-		return 5 * time.Second
-	}
-	return o.Timeout
-}
+// webhookQueue bounds pending webhook deliveries; overflow drops.
+const webhookQueue = 64
 
 // WebhookSink POSTs each transition as a JSON document to a generic
-// endpoint, from its own goroutine with bounded queueing and retries —
-// Notify never blocks the bus.
+// endpoint, from its own goroutine with bounded queueing and the retries
+// of obs.PostJSON — Notify never blocks the bus.
 type WebhookSink struct {
-	url    string
-	opt    WebhookOptions
-	client *http.Client
-	ch     chan Event
-	wg     sync.WaitGroup
+	url string
+	ch  chan Event
+	wg  sync.WaitGroup
 
 	mu     sync.RWMutex
 	closed bool
@@ -105,15 +59,10 @@ type WebhookSink struct {
 	mRetries *obs.Counter
 }
 
-// NewWebhookSink builds a webhook sink and starts its delivery worker.
-func NewWebhookSink(url string, opt WebhookOptions) *WebhookSink {
-	s := &WebhookSink{
-		url:    url,
-		opt:    opt,
-		client: &http.Client{Timeout: opt.timeout()},
-		ch:     make(chan Event, opt.queueSize()),
-	}
-	reg := opt.Metrics
+// NewWebhookSink builds a webhook sink metered on reg (which may be nil)
+// and starts its delivery worker.
+func NewWebhookSink(url string, reg *obs.Registry) *WebhookSink {
+	s := &WebhookSink{url: url, ch: make(chan Event, webhookQueue)}
 	s.mSent = reg.Counter("aqp_alert_webhook_total",
 		"Alert webhook deliveries, by result.", "result", "ok")
 	s.mDropped = reg.Counter("aqp_alert_webhook_total",
@@ -172,27 +121,5 @@ func (s *WebhookSink) worker() {
 
 func (s *WebhookSink) deliver(ev Event) bool {
 	body, err := json.Marshal(ev)
-	if err != nil {
-		return false
-	}
-	attempts := 1 + s.opt.maxRetries()
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			s.mRetries.Inc()
-			time.Sleep(time.Duration(i) * s.opt.retryBackoff())
-		}
-		resp, err := s.client.Post(s.url, "application/json", bytes.NewReader(body))
-		if err != nil {
-			continue
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-			return true
-		}
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return false
-		}
-	}
-	return false
+	return err == nil && obs.PostJSON(s.url, body, s.mRetries)
 }

@@ -30,7 +30,7 @@ func TestWebhookSinkDelivers(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	sink := NewWebhookSink(srv.URL, WebhookOptions{})
+	sink := NewWebhookSink(srv.URL, nil)
 	sink.Notify(Event{Alert: Alert{Source: "watchdog", Kind: "undercoverage",
 		Key: "A@1000", Severity: SeverityCritical}, State: StateFiring, Count: 1, Seq: 1})
 	sink.Notify(Event{Alert: Alert{Source: "watchdog", Kind: "undercoverage",
@@ -62,9 +62,7 @@ func TestWebhookSinkRetries(t *testing.T) {
 	defer srv.Close()
 
 	reg := obs.NewRegistry()
-	sink := NewWebhookSink(srv.URL, WebhookOptions{
-		MaxRetries: 3, RetryBackoff: time.Millisecond, Metrics: reg,
-	})
+	sink := NewWebhookSink(srv.URL, reg) // two retries: 250 ms + 500 ms of backoff
 	sink.Notify(Event{Alert: Alert{Source: "s", Kind: "k", Key: "x"}, State: StateFiring})
 	sink.Close()
 
@@ -92,10 +90,10 @@ func TestWebhookSinkNeverBlocks(t *testing.T) {
 	defer srv.Close()
 
 	reg := obs.NewRegistry()
-	sink := NewWebhookSink(srv.URL, WebhookOptions{QueueSize: 2, Metrics: reg})
+	sink := NewWebhookSink(srv.URL, reg)
 	done := make(chan struct{})
 	go func() {
-		for i := 0; i < 20; i++ {
+		for i := 0; i < webhookQueue+20; i++ {
 			sink.Notify(Event{Alert: Alert{Source: "s", Kind: "k", Key: "x"}, State: StateFiring})
 		}
 		close(done)

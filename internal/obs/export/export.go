@@ -15,11 +15,9 @@
 package export
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"os"
 	"sync"
 	"time"
@@ -27,7 +25,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Config tunes the exporter. Zero values take the documented defaults.
+// Config tunes the exporter.
 type Config struct {
 	// URL is the OTLP/HTTP traces endpoint (e.g.
 	// "http://collector:4318/v1/traces"). Empty disables HTTP posting.
@@ -36,84 +34,25 @@ type Config struct {
 	// per flushed batch) to a file — the filesink fallback. Empty
 	// disables it. At least one of URL and Path must be set.
 	Path string
-	// ServiceName becomes the OTLP resource's service.name ("aqp").
-	ServiceName string
-	// MaxBatch flushes when this many traces are buffered (0 = 64).
-	MaxBatch int
-	// FlushInterval flushes a partial batch this often (0 = 2s).
-	FlushInterval time.Duration
-	// QueueSize bounds the handoff queue between the query path and the
-	// worker (0 = 256); overflow drops, never blocks.
-	QueueSize int
-	// MaxRetries is how many additional attempts a failed POST gets
-	// before its batch is dropped (0 = 3).
-	MaxRetries int
-	// RetryBackoff is the base delay between attempts, scaled linearly
-	// (0 = 250ms).
-	RetryBackoff time.Duration
-	// Timeout bounds each POST (0 = 5s).
-	Timeout time.Duration
 	// Metrics receives aqp_export_* series (nil = unmetered).
 	Metrics *obs.Registry
 }
 
-func (c Config) maxBatch() int {
-	if c.MaxBatch <= 0 {
-		return 64
-	}
-	return c.MaxBatch
-}
-
-func (c Config) flushInterval() time.Duration {
-	if c.FlushInterval <= 0 {
-		return 2 * time.Second
-	}
-	return c.FlushInterval
-}
-
-func (c Config) queueSize() int {
-	if c.QueueSize <= 0 {
-		return 256
-	}
-	return c.QueueSize
-}
-
-func (c Config) maxRetries() int {
-	if c.MaxRetries <= 0 {
-		return 3
-	}
-	return c.MaxRetries
-}
-
-func (c Config) retryBackoff() time.Duration {
-	if c.RetryBackoff <= 0 {
-		return 250 * time.Millisecond
-	}
-	return c.RetryBackoff
-}
-
-func (c Config) timeout() time.Duration {
-	if c.Timeout <= 0 {
-		return 5 * time.Second
-	}
-	return c.Timeout
-}
-
-func (c Config) serviceName() string {
-	if c.ServiceName == "" {
-		return "aqp"
-	}
-	return c.ServiceName
-}
+// Batching and queueing. POST retries follow obs.PostJSON.
+const (
+	serviceName   = "aqp"           // the OTLP resource's service.name
+	maxBatch      = 64              // flush when this many traces are buffered
+	flushInterval = 2 * time.Second // flush a partial batch this often
+	queueSize     = 256             // query path → worker handoff; overflow drops
+)
 
 // Exporter implements obs.SpanExporter. Construct with New, attach via
 // Tracer.SetExporter, and Close on shutdown to flush the tail.
 type Exporter struct {
-	cfg    Config
-	ch     chan obs.TraceSnapshot
-	flush  chan chan struct{}
-	file   *os.File
-	client *http.Client
+	cfg   Config
+	ch    chan obs.TraceSnapshot
+	flush chan chan struct{}
+	file  *os.File
 
 	mu     sync.RWMutex // guards closed vs. sends on ch
 	closed bool
@@ -137,7 +76,7 @@ func New(cfg Config) (*Exporter, error) {
 	}
 	e := &Exporter{
 		cfg:   cfg,
-		ch:    make(chan obs.TraceSnapshot, cfg.queueSize()),
+		ch:    make(chan obs.TraceSnapshot, queueSize),
 		flush: make(chan chan struct{}),
 	}
 	if cfg.Path != "" {
@@ -146,9 +85,6 @@ func New(cfg Config) (*Exporter, error) {
 			return nil, fmt.Errorf("export: open filesink: %w", err)
 		}
 		e.file = f
-	}
-	if cfg.URL != "" {
-		e.client = &http.Client{Timeout: cfg.timeout()}
 	}
 	reg := cfg.Metrics
 	e.mTraces = reg.Counter("aqp_export_traces_total",
@@ -235,7 +171,7 @@ func (e *Exporter) Close() error {
 
 func (e *Exporter) worker() {
 	defer e.wg.Done()
-	ticker := time.NewTicker(e.cfg.flushInterval())
+	ticker := time.NewTicker(flushInterval)
 	defer ticker.Stop()
 	var batch []obs.TraceSnapshot
 	send := func() {
@@ -253,7 +189,7 @@ func (e *Exporter) worker() {
 			}
 			e.mQueue.Set(int64(len(e.ch)))
 			batch = append(batch, t)
-			if len(batch) >= e.cfg.maxBatch() {
+			if len(batch) >= maxBatch {
 				send()
 			}
 		case <-ticker.C:
@@ -280,7 +216,7 @@ func (e *Exporter) worker() {
 }
 
 func (e *Exporter) send(batch []obs.TraceSnapshot) {
-	body, err := json.Marshal(otlpRequest(e.cfg.serviceName(), batch))
+	body, err := json.Marshal(otlpRequest(serviceName, batch))
 	if err != nil {
 		e.mDropS.Add(int64(len(batch)))
 		e.mBatchNG.Inc()
@@ -293,7 +229,7 @@ func (e *Exporter) send(batch []obs.TraceSnapshot) {
 			ok = false
 		}
 	}
-	if e.client != nil && !e.post(body) {
+	if e.cfg.URL != "" && !obs.PostJSON(e.cfg.URL, body, e.mRetries) {
 		e.mDropS.Add(int64(len(batch)))
 		ok = false
 	}
@@ -302,29 +238,4 @@ func (e *Exporter) send(batch []obs.TraceSnapshot) {
 	} else {
 		e.mBatchNG.Inc()
 	}
-}
-
-// post attempts the OTLP POST with linear-backoff retries; it reports
-// whether the collector eventually accepted the batch.
-func (e *Exporter) post(body []byte) bool {
-	attempts := 1 + e.cfg.maxRetries()
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			e.mRetries.Inc()
-			time.Sleep(time.Duration(i) * e.cfg.retryBackoff())
-		}
-		resp, err := e.client.Post(e.cfg.URL, "application/json", bytes.NewReader(body))
-		if err != nil {
-			continue
-		}
-		resp.Body.Close()
-		if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-			return true
-		}
-		// 4xx means the payload is unacceptable; retrying cannot help.
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return false
-		}
-	}
-	return false
 }

@@ -2,6 +2,7 @@ package export
 
 import (
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -50,7 +51,7 @@ func TestExporterPostsOTLP(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	exp, err := New(Config{URL: srv.URL, ServiceName: "aqp-test", Metrics: obs.NewRegistry()})
+	exp, err := New(Config{URL: srv.URL, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +99,12 @@ func TestExporterPostsOTLP(t *testing.T) {
 	res := req.ResourceSpans[0]
 	foundService := false
 	for _, kv := range res.Resource.Attributes {
-		if kv.Key == "service.name" && kv.Value.StringValue == "aqp-test" {
+		if kv.Key == "service.name" && kv.Value.StringValue == serviceName {
 			foundService = true
 		}
 	}
 	if !foundService {
-		t.Error("resource is missing service.name=aqp-test")
+		t.Errorf("resource is missing service.name=%s", serviceName)
 	}
 	spans := res.ScopeSpans[0].Spans
 	if len(spans) != 4 { // root + analyze + scan + estimate
@@ -153,23 +154,19 @@ func TestExporterOverflowDropsNotBlocks(t *testing.T) {
 	defer srv.Close()
 
 	reg := obs.NewRegistry()
-	exp, err := New(Config{
-		URL:       srv.URL,
-		QueueSize: 4,
-		MaxBatch:  1, // every trace is its own batch → worker wedges on the first
-		Metrics:   reg,
-	})
+	exp, err := New(Config{URL: srv.URL, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	exp.ExportTrace(testSnapshot("", ""))
-	<-wedgedC // worker is now stuck inside the POST
+	go exp.Flush() // sends the one-trace batch; returns once unwedged
+	<-wedgedC      // worker is now stuck inside the POST
 
 	// Fill the queue and then some; all calls must return promptly.
 	var done atomic.Bool
 	go func() {
-		for i := 0; i < 50; i++ {
+		for i := 0; i < queueSize+50; i++ {
 			exp.ExportTrace(testSnapshot("", ""))
 		}
 		done.Store(true)
@@ -184,11 +181,49 @@ func TestExporterOverflowDropsNotBlocks(t *testing.T) {
 
 	dropped := reg.Counter("aqp_export_dropped_total",
 		"Traces dropped by the exporter, by reason.", "reason", "queue_full").Value()
-	if dropped < 46 { // 50 sends, 4 queue slots
-		t.Errorf("dropped counter = %d, want >= 46", dropped)
+	if dropped < 50 { // queueSize+50 sends, queueSize queue slots
+		t.Errorf("dropped counter = %d, want >= 50", dropped)
 	}
 	close(release) // unwedge so Close's tail flush finishes fast
 	exp.Close()
+}
+
+// TestExporterReusesConnection: batches flushed one after another reach
+// the collector over one keep-alive connection. The collector answers
+// with a body, as a real one does; a reply closed unread would cost a
+// new connection per batch.
+func TestExporterReusesConnection(t *testing.T) {
+	var conns atomic.Int64
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"partialSuccess":{}}`)) //nolint:errcheck
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	reg := obs.NewRegistry()
+	exp, err := New(Config{URL: srv.URL, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+	const batches = 5
+	for i := 0; i < batches; i++ {
+		exp.ExportTrace(testSnapshot("", ""))
+		exp.Flush()
+	}
+	if ok := reg.Counter("aqp_export_batches_total",
+		"Export batches flushed, by result.", "result", "ok").Value(); ok != batches {
+		t.Fatalf("%d batches accepted, want %d", ok, batches)
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("collector saw %d connections for %d batches, want 1", n, batches)
+	}
 }
 
 // TestExporterFilesink pins the air-gapped path: batches land as JSON

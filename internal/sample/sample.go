@@ -1,8 +1,8 @@
 // Package sample implements the sampling layer of the AQP system: simple
 // random samples (with and without replacement), the disjoint subsample
-// partitioning the diagnostic relies on, stratified samples, and a
-// BlinkDB-style catalog of pre-built samples from which the engine picks
-// the cheapest sample that satisfies a query's error bound.
+// partitioning the diagnostic relies on, stratified samples, and the
+// sample-size rule behind the engine's choice of the cheapest sample that
+// satisfies a query's error bound.
 package sample
 
 import (
@@ -138,62 +138,6 @@ func Stratified(src *rng.Source, keys []string, xs []float64, capPerGroup int) (
 	return outKeys, outXs
 }
 
-// Stored is one pre-built sample in a Catalog: a shuffled uniform sample of
-// the underlying dataset together with bookkeeping the planner needs.
-type Stored struct {
-	Name   string
-	Rows   []float64 // shuffled sample values (aggregation column view)
-	Table  *table.Table
-	PopN   int  // size of the dataset the sample was drawn from
-	Cached bool // whether the storage layer keeps it in memory
-}
-
-// SamplingFraction returns len(Rows)/PopN.
-func (s *Stored) SamplingFraction() float64 {
-	if s.PopN == 0 {
-		return 0
-	}
-	return float64(len(s.Rows)) / float64(s.PopN)
-}
-
-// Catalog is the set of samples the engine maintains over one dataset,
-// ordered by size. At query time the engine picks the smallest sample
-// whose predicted error meets the bound (BlinkDB's sample-selection step).
-type Catalog struct {
-	samples []*Stored // ascending by len(Rows)
-}
-
-// NewCatalog builds a catalog holding uniform shuffled samples of the given
-// sizes drawn without replacement from data.
-func NewCatalog(src *rng.Source, data []float64, sizes []int, popName string) (*Catalog, error) {
-	sorted := append([]int(nil), sizes...)
-	sort.Ints(sorted)
-	c := &Catalog{}
-	for _, n := range sorted {
-		if n <= 0 || n > len(data) {
-			return nil, fmt.Errorf("sample: catalog size %d invalid for dataset of %d", n, len(data))
-		}
-		rows := WithoutReplacement(src.Split(), data, n)
-		c.samples = append(c.samples, &Stored{
-			Name: fmt.Sprintf("%s/sample-%d", popName, n),
-			Rows: rows,
-			PopN: len(data),
-		})
-	}
-	return c, nil
-}
-
-// Samples returns the stored samples in ascending size order.
-func (c *Catalog) Samples() []*Stored { return c.samples }
-
-// Largest returns the biggest stored sample, or nil when empty.
-func (c *Catalog) Largest() *Stored {
-	if len(c.samples) == 0 {
-		return nil
-	}
-	return c.samples[len(c.samples)-1]
-}
-
 // RequiredSampleSize estimates the sample size needed for a CLT-style mean
 // estimate to reach the target relative error at confidence alpha, given
 // pilot estimates of the data's mean and standard deviation:
@@ -201,7 +145,7 @@ func (c *Catalog) Largest() *Stored {
 //	n ≈ (z · σ / (ε · |μ|))²
 //
 // This is the calculation behind Fig. 1's "sample size suggested by an
-// error estimation technique" and behind the catalog's selection rule.
+// error estimation technique" and behind the engine's sample selection.
 func RequiredSampleSize(mean, stddev, relErr, alpha float64) int {
 	if relErr <= 0 || mean == 0 {
 		return 1 << 62 // unsatisfiable
@@ -220,33 +164,4 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// Select returns the smallest stored sample of at least minRows, or the
-// largest available if none is big enough (the engine then knows the bound
-// may be missed and can fall back). It returns nil for an empty catalog.
-func (c *Catalog) Select(minRows int) *Stored {
-	for _, s := range c.samples {
-		if len(s.Rows) >= minRows {
-			return s
-		}
-	}
-	return c.Largest()
-}
-
-// SelectForError picks a sample for a target relative error at confidence
-// alpha using pilot moments measured on the smallest sample. The boolean
-// reports whether the chosen sample is predicted to satisfy the bound.
-func (c *Catalog) SelectForError(relErr, alpha float64) (*Stored, bool) {
-	if len(c.samples) == 0 {
-		return nil, false
-	}
-	pilot := c.samples[0]
-	var m stats.Moments
-	for _, x := range pilot.Rows {
-		m.Add(x)
-	}
-	need := RequiredSampleSize(m.Mean(), m.Stddev(), relErr, alpha)
-	got := c.Select(need)
-	return got, len(got.Rows) >= need
 }

@@ -204,43 +204,6 @@ func TestStratifiedCapsGroups(t *testing.T) {
 	}
 }
 
-func TestCatalogConstructionAndSelect(t *testing.T) {
-	src := rng.New(6)
-	data := seq(100000)
-	cat, err := NewCatalog(src, data, []int{1000, 10000, 50000}, "t")
-	if err != nil {
-		t.Fatalf("NewCatalog: %v", err)
-	}
-	if len(cat.Samples()) != 3 {
-		t.Fatalf("catalog has %d samples", len(cat.Samples()))
-	}
-	if got := cat.Select(500); len(got.Rows) != 1000 {
-		t.Errorf("Select(500) picked %d-row sample", len(got.Rows))
-	}
-	if got := cat.Select(5000); len(got.Rows) != 10000 {
-		t.Errorf("Select(5000) picked %d-row sample", len(got.Rows))
-	}
-	if got := cat.Select(99999999); len(got.Rows) != 50000 {
-		t.Errorf("oversized Select should return largest, got %d", len(got.Rows))
-	}
-	if lg := cat.Largest(); len(lg.Rows) != 50000 {
-		t.Errorf("Largest = %d rows", len(lg.Rows))
-	}
-	if f := cat.Samples()[0].SamplingFraction(); math.Abs(f-0.01) > 1e-9 {
-		t.Errorf("sampling fraction = %v", f)
-	}
-}
-
-func TestCatalogRejectsBadSizes(t *testing.T) {
-	src := rng.New(7)
-	if _, err := NewCatalog(src, seq(10), []int{100}, "t"); err == nil {
-		t.Error("oversized catalog sample not rejected")
-	}
-	if _, err := NewCatalog(src, seq(10), []int{0}, "t"); err == nil {
-		t.Error("zero catalog sample not rejected")
-	}
-}
-
 func TestRequiredSampleSizeScaling(t *testing.T) {
 	// Quadrupling precision requirement (halving relErr) should 4x n.
 	n1 := RequiredSampleSize(10, 5, 0.1, 0.95)
@@ -259,33 +222,5 @@ func TestRequiredSampleSizeScaling(t *testing.T) {
 	}
 	if RequiredSampleSize(10, 5, 0, 0.95) < 1<<61 {
 		t.Error("zero relErr should be unsatisfiable")
-	}
-}
-
-func TestSelectForError(t *testing.T) {
-	src := rng.New(8)
-	// Low-variance data: small samples suffice.
-	data := make([]float64, 100000)
-	for i := range data {
-		data[i] = 100 + src.NormFloat64()
-	}
-	cat, err := NewCatalog(src, data, []int{100, 1000, 10000}, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ok := cat.SelectForError(0.01, 0.95)
-	if !ok {
-		t.Error("1% error on sigma/mu=0.01 data should be satisfiable")
-	}
-	if len(s.Rows) > 1000 {
-		t.Errorf("picked %d-row sample for an easy bound", len(s.Rows))
-	}
-	// Impossibly tight bound: returns largest, ok=false.
-	s, ok = cat.SelectForError(1e-9, 0.95)
-	if ok {
-		t.Error("1e-9 relative error should not be satisfiable")
-	}
-	if len(s.Rows) != 10000 {
-		t.Error("unsatisfiable bound should fall back to largest sample")
 	}
 }

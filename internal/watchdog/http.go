@@ -3,6 +3,8 @@ package watchdog
 import (
 	"encoding/json"
 	"net/http"
+
+	"repro/internal/obs/alert"
 )
 
 // KeyStatus is one (aggregate, sample) population's rolling summary as
@@ -35,24 +37,26 @@ type KeyStatus struct {
 }
 
 // Status is the full watchdog state snapshot behind /debug/calibration.
+// ActiveAlerts and History are the alert bus's watchdog episodes.
 type Status struct {
-	Nominal       float64     `json:"nominal"`
-	Tolerance     float64     `json:"tolerance"`
-	Window        int         `json:"window"`
-	MinAudits     int         `json:"min_audits"`
-	AuditFraction float64     `json:"audit_fraction"`
-	Observations  uint64      `json:"observations"`
-	Keys          []KeyStatus `json:"keys"`
-	ActiveAlerts  []Alert     `json:"active_alerts"`
-	History       []Alert     `json:"history"`
+	Nominal       float64       `json:"nominal"`
+	Tolerance     float64       `json:"tolerance"`
+	Window        int           `json:"window"`
+	MinAudits     int           `json:"min_audits"`
+	AuditFraction float64       `json:"audit_fraction"`
+	Observations  uint64        `json:"observations"`
+	Keys          []KeyStatus   `json:"keys"`
+	ActiveAlerts  []alert.Event `json:"active_alerts"`
+	History       []alert.Event `json:"history"`
 }
 
 // Status snapshots the watchdog's rolling state: every key's coverage,
-// reject rate and band, plus active alerts and history.
+// reject rate and band, plus its active alerts and history on the bus.
 func (w *Watchdog) Status() Status {
 	if w == nil {
 		return Status{}
 	}
+	active, history := own(w.bus.Active()), own(w.bus.History())
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	st := Status{
@@ -63,6 +67,8 @@ func (w *Watchdog) Status() Status {
 		AuditFraction: w.cfg.AuditFraction,
 		Observations:  w.seq,
 		Keys:          make([]KeyStatus, 0, len(w.keyOrder)),
+		ActiveAlerts:  active,
+		History:       history,
 	}
 	for _, k := range w.keyOrder {
 		ks := w.keys[k]
@@ -89,14 +95,6 @@ func (w *Watchdog) Status() Status {
 			Techniques:         tech,
 		})
 	}
-	for _, k := range w.keyOrder {
-		for _, kind := range []AlertKind{Undercoverage, Overcoverage, RejectDrift} {
-			if a, ok := w.active[alertID{kind, k}]; ok {
-				st.ActiveAlerts = append(st.ActiveAlerts, a)
-			}
-		}
-	}
-	st.History = append(st.History, w.history...)
 	return st
 }
 
@@ -111,4 +109,15 @@ func (w *Watchdog) Handler() http.Handler {
 			http.Error(rw, err.Error(), http.StatusInternalServerError)
 		}
 	})
+}
+
+// own keeps the watchdog's events.
+func own(evs []alert.Event) []alert.Event {
+	var out []alert.Event
+	for _, ev := range evs {
+		if ev.Source == source {
+			out = append(out, ev)
+		}
+	}
+	return out
 }

@@ -12,8 +12,10 @@
 // audit ladder: truth is affordable occasionally, so spend it where it
 // pays), and compares rolling empirical coverage against the nominal
 // level under a binomial tolerance band. Coverage outside the band, or a
-// reject rate drifting from its baseline, raises a typed Alert, bumps
-// aqp_calibration_* metrics, and appears on /debug/calibration.
+// reject rate drifting from its baseline, is raised straight onto the
+// alert bus (internal/obs/alert, source "watchdog") on every check while
+// it holds, and resolved there when it clears: the bus alone owns the
+// alert episodes, and /debug/calibration reads them back from it.
 //
 // The watchdog consumes no engine randomness and never touches answers:
 // it observes finished queries and re-runs them through the engine's
@@ -29,6 +31,7 @@ import (
 
 	"repro/internal/estimator"
 	"repro/internal/obs"
+	"repro/internal/obs/alert"
 )
 
 // Key identifies one calibration population: an aggregate output (the
@@ -71,25 +74,21 @@ const (
 	RejectDrift   AlertKind = "reject-drift"
 )
 
-// Alert is one raised calibration alert.
-type Alert struct {
-	Kind AlertKind `json:"kind"`
-	Key  Key       `json:"key"`
-	// Observed is the offending windowed statistic (empirical coverage
-	// or reject rate), Expected its reference (nominal coverage or
-	// baseline reject rate), and Lo/Hi the tolerance band that Observed
-	// left.
-	Observed float64 `json:"observed"`
-	Expected float64 `json:"expected"`
-	Lo       float64 `json:"lo"`
-	Hi       float64 `json:"hi"`
-	// Window is the number of trials the statistic was computed over.
-	Window int `json:"window"`
-	// Seq is the watchdog's observation sequence number when the alert
-	// was raised — a deterministic clock for tests and ordering.
-	Seq     uint64 `json:"seq"`
-	Message string `json:"message"`
+// source is the watchdog's alert.Alert.Source.
+const source = "watchdog"
+
+// severity grades a kind: undercoverage is critical, overcoverage and
+// reject drift are warnings.
+func (k AlertKind) severity() alert.Severity {
+	if k == Undercoverage {
+		return alert.SeverityCritical
+	}
+	return alert.SeverityWarning
 }
+
+// auditQueue bounds the background audit queue; audits beyond it are
+// dropped and counted.
+const auditQueue = 64
 
 // Config tunes a Watchdog. Zero values select the defaults.
 type Config struct {
@@ -112,16 +111,15 @@ type Config struct {
 	Tolerance float64
 	// Metrics, when non-nil, receives the aqp_calibration_* series.
 	Metrics *obs.Registry
+	// Alerts receives the watchdog's alerts (source "watchdog"). Nil
+	// builds a private bus metered on Metrics, so Status still shows
+	// firing alerts.
+	Alerts *alert.Bus
 	// Synchronous runs audits inline inside Observe instead of on the
 	// background worker — deterministic for tests; production keeps the
 	// default background mode so audits never add latency to the serving
 	// path.
 	Synchronous bool
-	// AuditQueue bounds the background audit queue; audits beyond it are
-	// dropped and counted (0 = 64).
-	AuditQueue int
-	// AlertHistory bounds the retained alert history (0 = 64).
-	AlertHistory int
 }
 
 func (c Config) window() int {
@@ -150,20 +148,6 @@ func (c Config) tolerance() float64 {
 		return 3
 	}
 	return c.Tolerance
-}
-
-func (c Config) auditQueue() int {
-	if c.AuditQueue <= 0 {
-		return 64
-	}
-	return c.AuditQueue
-}
-
-func (c Config) alertHistory() int {
-	if c.AlertHistory <= 0 {
-		return 64
-	}
-	return c.AlertHistory
 }
 
 // stride converts the audit fraction to a deterministic cadence.
@@ -288,31 +272,23 @@ type keyState struct {
 	baselineRejects float64
 	baselineSet     bool
 	techniques      map[string]int64
+	// raised holds the kinds raised on the bus and not yet resolved, so
+	// in-band checks skip no-op resolves.
+	raised map[AlertKind]bool
 }
 
-// auditJob carries one observed query to the audit worker.
-type auditJob struct {
-	q   *obs.FinishedQuery
-	seq uint64
-}
-
-// AlertNotifier receives alert lifecycle transitions: firing=true the
-// moment a (kind, key) episode first raises, firing=false when it
-// clears. Re-raises while an episode is active do not re-notify. The
-// notifier runs outside the watchdog's lock — the unified alert bus
-// (internal/obs/alert) binds here via the engine.
-type AlertNotifier func(a Alert, firing bool)
-
-// alertTransition is one queued notifier delivery.
-type alertTransition struct {
-	alert  Alert
-	firing bool
+// transition is one bus call decided under the watchdog's lock and made
+// after it is released.
+type transition struct {
+	alert   alert.Alert
+	resolve bool
 }
 
 // Watchdog monitors calibration online. Construct with New; a nil
 // *Watchdog is a no-op observer, so callers thread it unconditionally.
 type Watchdog struct {
 	cfg      Config
+	bus      *alert.Bus
 	audit    AuditFunc
 	observer AuditObserver
 
@@ -320,29 +296,20 @@ type Watchdog struct {
 	keys     map[Key]*keyState
 	keyOrder []Key
 	seq      uint64
-	active   map[alertID]Alert
-	history  []Alert
-	notifier AlertNotifier
-	pending  []alertTransition // queued notifier deliveries, drained outside mu
+	pending  []transition // queued bus calls, made outside mu in order
+	flushing bool         // a goroutine is making the pending bus calls
 
-	auditCh chan auditJob
+	auditCh chan *obs.FinishedQuery
 	wg      sync.WaitGroup
 	closed  bool
 
 	mObs       *obs.Counter
 	mAudits    func(result string) *obs.Counter
 	mDropped   *obs.Counter
-	mAlerts    func(kind AlertKind, k Key) *obs.Counter
-	mActive    *obs.Gauge
 	mCoverage  func(k Key) *obs.GaugeF
 	mReject    func(k Key) *obs.GaugeF
 	mRelWidth  func(k Key) *obs.GaugeF
 	mAuditLagN *obs.Gauge // queued background audits
-}
-
-type alertID struct {
-	kind AlertKind
-	key  Key
 }
 
 // New returns a watchdog. Bind an auditor before observing if
@@ -350,10 +317,14 @@ type alertID struct {
 // errors.
 func New(cfg Config) *Watchdog {
 	reg := cfg.Metrics
+	bus := cfg.Alerts
+	if bus == nil {
+		bus = alert.New(alert.Config{Metrics: reg})
+	}
 	w := &Watchdog{
-		cfg:    cfg,
-		keys:   map[Key]*keyState{},
-		active: map[alertID]Alert{},
+		cfg:  cfg,
+		bus:  bus,
+		keys: map[Key]*keyState{},
 		mObs: reg.Counter("aqp_calibration_observations_total",
 			"Queries observed by the calibration watchdog."),
 		mAudits: func(result string) *obs.Counter {
@@ -362,13 +333,6 @@ func New(cfg Config) *Watchdog {
 		},
 		mDropped: reg.Counter("aqp_calibration_audit_dropped_total",
 			"Audits dropped because the background queue was full."),
-		mAlerts: func(kind AlertKind, k Key) *obs.Counter {
-			return reg.Counter("aqp_calibration_alerts_total",
-				"Calibration alerts raised, by kind and key.",
-				"kind", string(kind), "agg", k.Agg, "sample", k.Sample)
-		},
-		mActive: reg.Gauge("aqp_calibration_active_alerts",
-			"Calibration alerts currently firing."),
 		mCoverage: func(k Key) *obs.GaugeF {
 			return reg.GaugeFloat("aqp_calibration_coverage",
 				"Rolling empirical coverage of reported intervals vs audited truth.",
@@ -388,7 +352,7 @@ func New(cfg Config) *Watchdog {
 	reg.GaugeFloat("aqp_calibration_nominal",
 		"Nominal coverage level the watchdog holds intervals to.").Set(cfg.nominal())
 	if !cfg.Synchronous && cfg.stride() > 0 {
-		w.auditCh = make(chan auditJob, cfg.auditQueue())
+		w.auditCh = make(chan *obs.FinishedQuery, auditQueue)
 		w.wg.Add(1)
 		go w.auditWorker()
 	}
@@ -412,17 +376,6 @@ func (w *Watchdog) SetAuditObserver(fn AuditObserver) {
 	}
 	w.mu.Lock()
 	w.observer = fn
-	w.mu.Unlock()
-}
-
-// SetAlertNotifier registers a sink for alert lifecycle transitions.
-// Call once, before the first Observe, alongside Bind.
-func (w *Watchdog) SetAlertNotifier(fn AlertNotifier) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	w.notifier = fn
 	w.mu.Unlock()
 }
 
@@ -473,24 +426,23 @@ func (w *Watchdog) Observe(q *obs.FinishedQuery) {
 		rate, _ := st.verdicts.rate()
 		w.mReject(k).Set(rate)
 		w.mRelWidth(k).Set(st.relWidth.mean())
-		w.checkRejectDriftLocked(k, st, seq)
+		w.checkRejectDriftLocked(k, st)
 	}
 	stride := w.cfg.stride()
 	doAudit := stride > 0 && seq%stride == 0
 	w.mu.Unlock()
-	w.drainAlerts()
+	w.flush()
 	w.mObs.Inc()
 
 	if !doAudit {
 		return
 	}
-	job := auditJob{q: q, seq: seq}
 	if w.cfg.Synchronous || w.auditCh == nil {
-		w.runAudit(job)
+		w.runAudit(q)
 		return
 	}
 	select {
-	case w.auditCh <- job:
+	case w.auditCh <- q:
 		w.mAuditLagN.Inc()
 	default:
 		w.mDropped.Inc()
@@ -512,6 +464,7 @@ func (w *Watchdog) key(k Key) *keyState {
 			coverage:   newBoolWindow(size),
 			relWidth:   newFloatWindow(size),
 			techniques: map[string]int64{},
+			raised:     map[AlertKind]bool{},
 		}
 		w.keys[k] = st
 		w.keyOrder = append(w.keyOrder, k)
@@ -521,29 +474,29 @@ func (w *Watchdog) key(k Key) *keyState {
 
 func (w *Watchdog) auditWorker() {
 	defer w.wg.Done()
-	for job := range w.auditCh {
+	for q := range w.auditCh {
 		w.mAuditLagN.Dec()
-		w.runAudit(job)
+		w.runAudit(q)
 	}
 }
 
 // runAudit re-executes one query exactly and folds per-aggregate coverage
 // into the rolling windows.
-func (w *Watchdog) runAudit(job auditJob) {
+func (w *Watchdog) runAudit(q *obs.FinishedQuery) {
 	if w.audit == nil {
 		w.mAudits("error").Inc()
 		return
 	}
-	truths, err := w.audit(context.Background(), job.q)
+	truths, err := w.audit(context.Background(), q)
 	if err != nil {
 		w.mAudits("error").Inc()
 		return
 	}
 	var outcomes []obs.AuditOutcome
-	sample := job.q.Sample()
+	sample := q.Sample()
 	w.mu.Lock()
 	observer := w.observer
-	for _, a := range job.q.Aggs {
+	for _, a := range q.Aggs {
 		if a.Exact || math.IsNaN(a.HalfWidth) {
 			continue // no estimated interval to hold to account
 		}
@@ -562,38 +515,49 @@ func (w *Watchdog) runAudit(job auditJob) {
 		}
 		cov, _ := st.coverage.rate()
 		w.mCoverage(k).Set(cov)
-		w.checkCoverageLocked(k, st, job.seq)
+		w.checkCoverageLocked(k, st)
 		if observer != nil {
-			outcomes = append(outcomes, obs.AuditOutcome{Query: job.q, Agg: a, Truth: truth, Covered: covered})
+			outcomes = append(outcomes, obs.AuditOutcome{Query: q, Agg: a, Truth: truth, Covered: covered})
 		}
 	}
 	w.mu.Unlock()
-	w.drainAlerts()
+	w.flush()
 	for _, o := range outcomes {
 		observer(o)
 	}
 }
 
-// drainAlerts delivers queued alert transitions to the notifier, outside
-// the lock — a slow notifier delays audits, never the serving path's
-// critical section.
-func (w *Watchdog) drainAlerts() {
+// flush makes the queued bus calls outside the lock, in the order they
+// were decided. One goroutine flushes at a time; a caller that finds a
+// flush under way leaves its calls to it, so a slow sink delays one
+// caller, never another's critical section.
+func (w *Watchdog) flush() {
 	w.mu.Lock()
-	fn := w.notifier
-	pend := w.pending
-	w.pending = nil
-	w.mu.Unlock()
-	if fn == nil {
+	if w.flushing {
+		w.mu.Unlock()
 		return
 	}
-	for _, t := range pend {
-		fn(t.alert, t.firing)
+	w.flushing = true
+	for len(w.pending) > 0 {
+		pend := w.pending
+		w.pending = nil
+		w.mu.Unlock()
+		for _, t := range pend {
+			if t.resolve {
+				w.bus.Resolve(t.alert.Source, t.alert.Kind, t.alert.Key)
+			} else {
+				w.bus.Raise(t.alert)
+			}
+		}
+		w.mu.Lock()
 	}
+	w.flushing = false
+	w.mu.Unlock()
 }
 
 // checkCoverageLocked re-evaluates the coverage alert for one key; caller
 // holds mu.
-func (w *Watchdog) checkCoverageLocked(k Key, st *keyState, seq uint64) {
+func (w *Watchdog) checkCoverageLocked(k Key, st *keyState) {
 	cov, n := st.coverage.rate()
 	if n < w.cfg.minAudits() {
 		return
@@ -602,31 +566,23 @@ func (w *Watchdog) checkCoverageLocked(k Key, st *keyState, seq uint64) {
 	lo, hi := Band(nominal, n, w.cfg.tolerance())
 	switch {
 	case cov < lo:
-		w.raiseLocked(Alert{
-			Kind: Undercoverage, Key: k, Observed: cov, Expected: nominal,
-			Lo: lo, Hi: hi, Window: n, Seq: seq,
-			Message: fmt.Sprintf(
-				"%s: empirical coverage %.3f below binomial tolerance [%.3f, %.3f] of nominal %.2f over %d audits — reported intervals are too narrow",
-				k, cov, lo, hi, nominal, n),
-		})
+		w.raiseLocked(Undercoverage, k, st, cov, nominal, fmt.Sprintf(
+			"%s: empirical coverage %.3f below binomial tolerance [%.3f, %.3f] of nominal %.2f over %d audits — reported intervals are too narrow",
+			k, cov, lo, hi, nominal, n))
 	case cov > hi:
-		w.raiseLocked(Alert{
-			Kind: Overcoverage, Key: k, Observed: cov, Expected: nominal,
-			Lo: lo, Hi: hi, Window: n, Seq: seq,
-			Message: fmt.Sprintf(
-				"%s: empirical coverage %.3f above binomial tolerance [%.3f, %.3f] of nominal %.2f over %d audits — reported intervals are wastefully wide",
-				k, cov, lo, hi, nominal, n),
-		})
+		w.raiseLocked(Overcoverage, k, st, cov, nominal, fmt.Sprintf(
+			"%s: empirical coverage %.3f above binomial tolerance [%.3f, %.3f] of nominal %.2f over %d audits — reported intervals are wastefully wide",
+			k, cov, lo, hi, nominal, n))
 	default:
-		w.clearLocked(Undercoverage, k)
-		w.clearLocked(Overcoverage, k)
+		w.resolveLocked(Undercoverage, k, st)
+		w.resolveLocked(Overcoverage, k, st)
 	}
 }
 
 // checkRejectDriftLocked re-evaluates the reject-drift alert for one key;
 // caller holds mu. The key's first full window freezes the baseline; the
 // rolling rate is then held to baseline ± driftHalfWidth.
-func (w *Watchdog) checkRejectDriftLocked(k Key, st *keyState, seq uint64) {
+func (w *Watchdog) checkRejectDriftLocked(k Key, st *keyState) {
 	rate, n := st.verdicts.rate()
 	if !st.baselineSet {
 		if n == w.cfg.window() {
@@ -644,75 +600,35 @@ func (w *Watchdog) checkRejectDriftLocked(k Key, st *keyState, seq uint64) {
 		hi = 1
 	}
 	if rate < lo || rate > hi {
-		w.raiseLocked(Alert{
-			Kind: RejectDrift, Key: k, Observed: rate, Expected: st.baselineRejects,
-			Lo: lo, Hi: hi, Window: n, Seq: seq,
-			Message: fmt.Sprintf(
-				"%s: rolling reject rate %.3f drifted outside [%.3f, %.3f] around baseline %.3f over %d queries",
-				k, rate, lo, hi, st.baselineRejects, n),
-		})
+		w.raiseLocked(RejectDrift, k, st, rate, st.baselineRejects, fmt.Sprintf(
+			"%s: rolling reject rate %.3f drifted outside [%.3f, %.3f] around baseline %.3f over %d queries",
+			k, rate, lo, hi, st.baselineRejects, n))
 	} else {
-		w.clearLocked(RejectDrift, k)
+		w.resolveLocked(RejectDrift, k, st)
 	}
 }
 
-// raiseLocked activates an alert (idempotent while the condition holds):
-// the first raise per (kind, key) episode appends to history and bumps
-// the counter; re-raises while active only refresh the observed value.
-func (w *Watchdog) raiseLocked(a Alert) {
-	id := alertID{a.Kind, a.Key}
-	if _, already := w.active[id]; !already {
-		w.mAlerts(a.Kind, a.Key).Inc()
-		w.history = append(w.history, a)
-		if max := w.cfg.alertHistory(); len(w.history) > max {
-			w.history = w.history[len(w.history)-max:]
-		}
-		if w.notifier != nil {
-			w.pending = append(w.pending, alertTransition{alert: a, firing: true})
-		}
-	}
-	w.active[id] = a
-	w.mActive.Set(int64(len(w.active)))
+// raiseLocked queues a raise of a condition that holds; every check
+// that finds it out of band raises again, so the bus episode's Observed,
+// Count and LastSeen track the current window. Caller holds mu.
+func (w *Watchdog) raiseLocked(kind AlertKind, k Key, st *keyState, observed, expected float64, msg string) {
+	st.raised[kind] = true
+	w.pending = append(w.pending, transition{alert: alert.Alert{
+		Source: source, Kind: string(kind), Key: k.String(),
+		Severity: kind.severity(), Message: msg,
+		Observed: observed, Expected: expected,
+		Labels: map[string]string{"agg": k.Agg, "sample": k.Sample},
+	}})
 }
 
-func (w *Watchdog) clearLocked(kind AlertKind, k Key) {
-	id := alertID{kind, k}
-	a, was := w.active[id]
-	if !was {
+// resolveLocked queues the resolve of a raised condition that has
+// cleared. Caller holds mu.
+func (w *Watchdog) resolveLocked(kind AlertKind, k Key, st *keyState) {
+	if !st.raised[kind] {
 		return
 	}
-	delete(w.active, id)
-	if w.notifier != nil {
-		w.pending = append(w.pending, alertTransition{alert: a, firing: false})
-	}
-	w.mActive.Set(int64(len(w.active)))
-}
-
-// ActiveAlerts returns the alerts currently firing, ordered by key
-// registration then kind.
-func (w *Watchdog) ActiveAlerts() []Alert {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]Alert, 0, len(w.active))
-	for _, k := range w.keyOrder {
-		for _, kind := range []AlertKind{Undercoverage, Overcoverage, RejectDrift} {
-			if a, ok := w.active[alertID{kind, k}]; ok {
-				out = append(out, a)
-			}
-		}
-	}
-	return out
-}
-
-// History returns the retained raised-alert history, oldest first.
-func (w *Watchdog) History() []Alert {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]Alert(nil), w.history...)
+	delete(st.raised, kind)
+	w.pending = append(w.pending, transition{
+		alert: alert.Alert{Source: source, Kind: string(kind), Key: k.String()}, resolve: true,
+	})
 }

@@ -4,11 +4,13 @@ import (
 	"context"
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/estimator"
 	"repro/internal/obs"
+	"repro/internal/obs/alert"
 )
 
 // rec builds a one-aggregate finished query on a 1000-row sample; the
@@ -33,6 +35,23 @@ func coverAudit() AuditFunc {
 	}
 }
 
+// withBus builds a watchdog raising onto a bus the test reads.
+func withBus(cfg Config) (*Watchdog, *alert.Bus) {
+	bus := alert.New(alert.Config{})
+	cfg.Alerts = bus
+	return New(cfg), bus
+}
+
+// onlyKey returns the watchdog's single key status.
+func onlyKey(t *testing.T, w *Watchdog) KeyStatus {
+	t.Helper()
+	st := w.Status()
+	if len(st.Keys) != 1 {
+		t.Fatalf("keys = %+v, want one", st.Keys)
+	}
+	return st.Keys[0]
+}
+
 func TestBand(t *testing.T) {
 	lo, hi := Band(0.5, 16, 1)
 	if lo != 0.375 || hi != 0.625 {
@@ -50,7 +69,7 @@ func TestBand(t *testing.T) {
 // coverage landing exactly on the band edge does not alert; one more
 // missed audit pushes it strictly outside and does.
 func TestUndercoverageStrictEdge(t *testing.T) {
-	w := New(Config{
+	w, bus := withBus(Config{
 		Window: 16, MinAudits: 16, AuditFraction: 1,
 		Nominal: 0.5, Tolerance: 1, Synchronous: true,
 	})
@@ -64,35 +83,101 @@ func TestUndercoverageStrictEdge(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		w.Observe(rec("miss", false, iv))
 	}
-	if alerts := w.ActiveAlerts(); len(alerts) != 0 {
+	if alerts := bus.Active(); len(alerts) != 0 {
 		t.Fatalf("coverage exactly on the band edge alerted: %+v", alerts)
 	}
 	// One more miss evicts a covered trial: 5/16 = 0.3125 < 0.375.
 	w.Observe(rec("miss", false, iv))
-	alerts := w.ActiveAlerts()
-	if len(alerts) != 1 || alerts[0].Kind != Undercoverage {
+	alerts := bus.Active()
+	if len(alerts) != 1 || alerts[0].Kind != string(Undercoverage) {
 		t.Fatalf("alerts = %+v, want one undercoverage", alerts)
 	}
-	a := alerts[0]
-	if a.Window != 16 || a.Lo != 0.375 || a.Observed >= a.Lo {
+	a, k := alerts[0], onlyKey(t, w)
+	if a.Source != "watchdog" || a.Key != "A@1000" || a.Severity != alert.SeverityCritical ||
+		a.Labels["agg"] != "A" || a.Labels["sample"] != "1000" || a.Expected != 0.5 {
 		t.Fatalf("alert fields off: %+v", a)
 	}
+	if k.CoverageWindow != 16 || k.CoverageLo != 0.375 || a.Observed >= k.CoverageLo {
+		t.Fatalf("alert observed %v against key %+v", a.Observed, k)
+	}
 	// Refill at the nominal 50% rate until the window re-enters the band;
-	// the alert must clear and the episode appear exactly once in history.
+	// the alert must clear and the episode appear exactly once in history
+	// (its firing and its resolved transition).
 	for i := 0; i < 8; i++ {
 		w.Observe(rec("cover", false, iv))
 		w.Observe(rec("miss", false, iv))
 	}
-	if alerts := w.ActiveAlerts(); len(alerts) != 0 {
+	if alerts := bus.Active(); len(alerts) != 0 {
 		t.Fatalf("alert did not clear after recovery: %+v", alerts)
 	}
-	if h := w.History(); len(h) != 1 || h[0].Kind != Undercoverage {
+	h := bus.History()
+	if len(h) != 2 || h[0].Kind != string(Undercoverage) || h[1].Kind != string(Undercoverage) ||
+		h[0].State != alert.StateFiring || h[1].State != alert.StateResolved {
 		t.Fatalf("history = %+v, want exactly one undercoverage episode", h)
 	}
 }
 
+// TestAlertTracksOngoingCondition: while undercoverage holds, every
+// audit re-raises, so the bus episode's Observed follows the current
+// window coverage and its Count grows; nothing re-notifies.
+func TestAlertTracksOngoingCondition(t *testing.T) {
+	w, bus := withBus(Config{
+		Window: 16, MinAudits: 16, AuditFraction: 1,
+		Nominal: 0.5, Tolerance: 1, Synchronous: true,
+	})
+	w.Bind(coverAudit())
+	iv := estimator.Interval{Center: 0, HalfWidth: 1}
+	for i := 0; i < 6; i++ {
+		w.Observe(rec("cover", false, iv))
+	}
+	for i := 0; i < 11; i++ { // fires at 5/16
+		w.Observe(rec("miss", false, iv))
+	}
+	for i := 0; i < 2; i++ { // 4/16, then 3/16
+		w.Observe(rec("miss", false, iv))
+	}
+	act := bus.Active()
+	if len(act) != 1 {
+		t.Fatalf("active = %+v, want one episode", act)
+	}
+	k := onlyKey(t, w)
+	if k.Coverage != 3.0/16 || act[0].Observed != k.Coverage {
+		t.Fatalf("episode observed %v, key coverage %v, want both 3/16", act[0].Observed, k.Coverage)
+	}
+	if act[0].Count != 3 {
+		t.Fatalf("episode count = %d, want 3 (one raise per audit while it held)", act[0].Count)
+	}
+	if !strings.Contains(act[0].Message, "0.188") {
+		t.Fatalf("episode message not refreshed: %q", act[0].Message)
+	}
+	if h := bus.History(); len(h) != 1 {
+		t.Fatalf("history = %+v, want the one firing transition", h)
+	}
+}
+
+// TestStatusShowsAlertsWithoutBus: a watchdog built with no bus raises
+// onto a private one, and Status still shows what is firing.
+func TestStatusShowsAlertsWithoutBus(t *testing.T) {
+	w := New(Config{Window: 10, Tolerance: 1, Synchronous: true})
+	iv := estimator.Interval{Center: 1, HalfWidth: 0.1}
+	for i := 0; i < 10; i++ {
+		w.Observe(rec("q", false, iv))
+	}
+	for i := 0; i < 6; i++ {
+		w.Observe(rec("q", true, iv))
+	}
+	st := w.Status()
+	if len(st.ActiveAlerts) != 1 || st.ActiveAlerts[0].Kind != string(RejectDrift) ||
+		st.ActiveAlerts[0].State != alert.StateFiring || st.ActiveAlerts[0].Severity != alert.SeverityWarning {
+		t.Fatalf("active = %+v, want one firing reject-drift", st.ActiveAlerts)
+	}
+	if len(st.History) != 1 || st.History[0].Seq != st.ActiveAlerts[0].Seq {
+		t.Fatalf("history = %+v, want the firing transition", st.History)
+	}
+}
+
 func TestOvercoverageStrictEdge(t *testing.T) {
-	w := New(Config{
+	w, bus := withBus(Config{
 		Window: 16, MinAudits: 16, AuditFraction: 1,
 		Nominal: 0.5, Tolerance: 1, Synchronous: true,
 	})
@@ -105,14 +190,15 @@ func TestOvercoverageStrictEdge(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		w.Observe(rec("cover", false, iv))
 	}
-	if alerts := w.ActiveAlerts(); len(alerts) != 0 {
+	if alerts := bus.Active(); len(alerts) != 0 {
 		t.Fatalf("coverage exactly on the band edge alerted: %+v", alerts)
 	}
 	// One more covered evicts a miss: 11/16 > 0.625.
 	w.Observe(rec("cover", false, iv))
-	alerts := w.ActiveAlerts()
-	if len(alerts) != 1 || alerts[0].Kind != Overcoverage {
-		t.Fatalf("alerts = %+v, want one overcoverage", alerts)
+	alerts := bus.Active()
+	if len(alerts) != 1 || alerts[0].Kind != string(Overcoverage) ||
+		alerts[0].Severity != alert.SeverityWarning {
+		t.Fatalf("alerts = %+v, want one overcoverage warning", alerts)
 	}
 }
 
@@ -120,7 +206,7 @@ func TestOvercoverageStrictEdge(t *testing.T) {
 // 5/W floor tolerates exactly half the window at W=10; the 5th reject sits
 // on the edge (quiet), the 6th drifts out.
 func TestRejectDriftFloorEdge(t *testing.T) {
-	w := New(Config{Window: 10, Tolerance: 1, Synchronous: true})
+	w, bus := withBus(Config{Window: 10, Tolerance: 1, Synchronous: true})
 	iv := estimator.Interval{Center: 1, HalfWidth: 0.1}
 	for i := 0; i < 10; i++ {
 		w.Observe(rec("q", false, iv)) // freeze baseline at 0 rejects
@@ -128,16 +214,64 @@ func TestRejectDriftFloorEdge(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		w.Observe(rec("q", true, iv))
 	}
-	if alerts := w.ActiveAlerts(); len(alerts) != 0 {
+	if alerts := bus.Active(); len(alerts) != 0 {
 		t.Fatalf("reject rate exactly on the floor edge alerted: %+v", alerts)
 	}
 	w.Observe(rec("q", true, iv)) // 6/10 > 0.5
-	alerts := w.ActiveAlerts()
-	if len(alerts) != 1 || alerts[0].Kind != RejectDrift {
+	alerts := bus.Active()
+	if len(alerts) != 1 || alerts[0].Kind != string(RejectDrift) {
 		t.Fatalf("alerts = %+v, want one reject-drift", alerts)
 	}
-	if alerts[0].Expected != 0 || alerts[0].Hi != 0.5 {
-		t.Fatalf("drift band off: %+v", alerts[0])
+	k := onlyKey(t, w)
+	hi := k.BaselineRejectRate + driftHalfWidth(k.BaselineRejectRate, k.RejectWindow, 1)
+	if alerts[0].Expected != 0 || k.BaselineRejectRate != 0 || hi != 0.5 ||
+		alerts[0].Observed != 0.6 || !strings.Contains(alerts[0].Message, "[0.000, 0.500]") {
+		t.Fatalf("drift band off: %+v against key %+v", alerts[0], k)
+	}
+}
+
+// TestConcurrentAlertsMatchBus: with queries observed from several
+// goroutines and audits on the background worker, conditions flip many
+// times; once everything has returned, the bus fires exactly the (kind,
+// key) pairs the watchdog last raised, so no resolve overtook its raise.
+func TestConcurrentAlertsMatchBus(t *testing.T) {
+	w, bus := withBus(Config{Window: 10, MinAudits: 4, AuditFraction: 1, Nominal: 0.5, Tolerance: 1})
+	w.Bind(coverAudit())
+	iv := estimator.Interval{Center: 0, HalfWidth: 1}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				burst := (i/10+g)%2 == 0
+				sql := "miss"
+				if burst {
+					sql = "cover"
+				}
+				w.Observe(rec(sql, burst, iv))
+			}
+		}(g)
+	}
+	wg.Wait()
+	w.Close()
+
+	firing := map[string]bool{}
+	for _, ev := range bus.Active() {
+		firing[ev.Kind+" "+ev.Key] = true
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for k, st := range w.keys {
+		for _, kind := range []AlertKind{Undercoverage, Overcoverage, RejectDrift} {
+			id := string(kind) + " " + k.String()
+			if firing[id] != st.raised[kind] {
+				t.Errorf("%s: bus firing %v, watchdog raised %v", id, firing[id], st.raised[kind])
+			}
+		}
+	}
+	if len(bus.History()) < 2 {
+		t.Fatalf("conditions never flipped: history %+v", bus.History())
 	}
 }
 
@@ -176,14 +310,14 @@ func TestExactAndNaNAggsSkipCoverage(t *testing.T) {
 			t.Fatalf("exact/NaN agg entered the coverage window: %+v", k)
 		}
 	}
-	if len(w.ActiveAlerts()) != 0 {
-		t.Fatalf("unexpected alerts: %+v", w.ActiveAlerts())
+	if len(st.ActiveAlerts) != 0 {
+		t.Fatalf("unexpected alerts: %+v", st.ActiveAlerts)
 	}
 }
 
 func TestBackgroundAuditsDrainOnClose(t *testing.T) {
 	var calls atomic.Int64
-	w := New(Config{Window: 100, AuditFraction: 1, AuditQueue: 64})
+	w := New(Config{Window: 100, AuditFraction: 1})
 	w.Bind(func(context.Context, *obs.FinishedQuery) (map[AggInstance]float64, error) {
 		calls.Add(1)
 		return map[AggInstance]float64{{Agg: "A"}: 0}, nil
@@ -235,10 +369,11 @@ func TestNilWatchdogIsNoop(t *testing.T) {
 	w.Observe(rec("q", false, estimator.Interval{}))
 	w.Bind(nil)
 	w.Close()
-	if w.ActiveAlerts() != nil || w.History() != nil {
+	st := w.Status()
+	if st.ActiveAlerts != nil || st.History != nil {
 		t.Fatal("nil watchdog returned non-nil state")
 	}
-	if st := w.Status(); len(st.Keys) != 0 {
+	if len(st.Keys) != 0 {
 		t.Fatal("nil watchdog returned keys")
 	}
 }
